@@ -15,20 +15,21 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import sys
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, ColumnSpec, Schema, dataset_to_csv, load_csv
+from .data import NUMERIC, ColumnSpec, Schema, dataset_to_csv, load_csv
 from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
-from .partition import FitConfig, TestMethod, fit, render_text
+from .partition import FitConfig, TestMethod, Tree, fit, predict_node, render_text, route
 from .treedoc import (
-    dumps_canonical,
     document_to_dot,
+    document_to_tree,
+    dumps_canonical,
     parse_document,
-    route_document,
     tree_to_document,
     write_atomic,
 )
@@ -208,27 +209,27 @@ def _read_rows(path: str) -> list[dict]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _row_observation(row: dict, doc: dict) -> dict:
+def _row_observation(row: dict, tree: Tree) -> dict:
     """Typed observation from a raw CSV row: numeric covariates parsed as
     floats, categoricals kept as strings; missing/blank cells omitted."""
     obs = {}
-    for cov in doc["config"]["covariates"]:
-        cell = row.get(cov["name"])
+    for cov in tree.covariate_info:
+        cell = row.get(cov.name)
         if cell is None or cell.strip() == "":
             continue
         cell = cell.strip()
-        if cov["kind"] == NUMERIC:
+        if cov.kind == NUMERIC:
             try:
-                obs[cov["name"]] = float(cell)
+                obs[cov.name] = float(cell)
             except ValueError:
                 continue  # unparseable == missing; routing errors if needed
         else:
-            obs[cov["name"]] = cell
+            obs[cov.name] = cell
     return obs
 
 
 def _cmd_predict(args) -> int:
-    doc = _load_document(args.tree)
+    tree = document_to_tree(_load_document(args.tree))
     rows = _read_rows(args.data)
     if not rows:
         raise DataError(f"{args.data}: no data rows")
@@ -237,12 +238,12 @@ def _cmd_predict(args) -> int:
     errors = []
     for i, row in enumerate(rows):
         try:
-            leaf = route_document(doc, _row_observation(row, doc))
+            leaf = predict_node(tree, _row_observation(row, tree))
         except DataError as exc:
             errors.append(f"row {i}: {exc}")
             continue
-        med = leaf.get("km_median")
-        out.write(f"{i},{leaf['id']},{'' if med is None else repr(float(med))}\n")
+        med = tree.nodes[leaf].km_median
+        out.write(f"{i},{leaf},{'' if med is None else repr(med)}\n")
     if errors:
         for line in errors:
             print(line, file=sys.stderr)
@@ -257,46 +258,48 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _schema_from_document(doc: dict) -> Schema:
-    specs = []
-    for cov in doc["config"]["covariates"]:
-        kind = cov["kind"]
-        if kind == CATEGORICAL:
-            kind = "ordinal" if cov.get("ordered") else CATEGORICAL
-        specs.append(
-            ColumnSpec(cov["name"], kind, tuple(cov["levels"]) if cov.get("levels") else None)
-        )
-    return Schema(doc["config"]["time_column"], doc["config"]["event_column"], tuple(specs))
+_LEAF_FILE = re.compile(r"leaf_\d+\.csv")
+
+
+def _split_schema(doc: dict, tree: Tree) -> Schema:
+    """The response plus only the covariates the tree splits on, with their
+    declared levels, so that rows are dropped only when they cannot be
+    routed or lack a response."""
+    used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
+    specs = tuple(
+        ColumnSpec(cov.name, "ordinal" if cov.ordered else cov.kind, cov.levels)
+        for cov in tree.covariate_info
+        if cov.name in used
+    )
+    return Schema(doc["config"]["time_column"], doc["config"]["event_column"], specs)
 
 
 def _cmd_km(args) -> int:
     doc = _load_document(args.tree)
-    ds, dropped = load_csv(args.data, _schema_from_document(doc))
+    tree = document_to_tree(doc)
+    ds, dropped = load_csv(args.data, _split_schema(doc, tree))
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
 
-    leaf_rows: dict[int, list[int]] = {}
-    for i in range(ds.n):
-        obs = {}
-        for cov in ds.covariates:
-            if cov.kind == NUMERIC:
-                obs[cov.name] = float(cov.values[i])
-            else:
-                obs[cov.name] = cov.levels[int(cov.values[i])]
-        leaf = route_document(doc, obs)
-        leaf_rows.setdefault(leaf["id"], []).append(i)
-
+    leaf_of = route(tree, ds)
     os.makedirs(args.out_dir, exist_ok=True)
-    for leaf_id in sorted(leaf_rows):
-        idx = np.array(leaf_rows[leaf_id], dtype=np.int64)
+    written = set()
+    for leaf_id in np.unique(leaf_of).tolist():
+        idx = np.flatnonzero(leaf_of == leaf_id)
         curve = km_estimate(ds.response.time[idx], ds.response.event[idx])
         out = io.StringIO()
         out.write("time,survival\n")
         out.write("0.0,1.0\n")  # anchor: the curve starts at 1 at t = 0
         for t, s in curve.steps:
             out.write(f"{t!r},{s!r}\n")
-        write_atomic(os.path.join(args.out_dir, f"leaf_{leaf_id}.csv"), out.getvalue())
-    print(f"wrote {len(leaf_rows)} leaf curves to {args.out_dir}")
+        name = f"leaf_{leaf_id}.csv"
+        write_atomic(os.path.join(args.out_dir, name), out.getvalue())
+        written.add(name)
+    # curves of an earlier tree in the same directory would pass for this one's
+    for name in os.listdir(args.out_dir):
+        if _LEAF_FILE.fullmatch(name) and name not in written:
+            os.remove(os.path.join(args.out_dir, name))
+    print(f"wrote {len(written)} leaf curves to {args.out_dir}")
     return 0
 
 

@@ -129,15 +129,14 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class Schema:
-    """Names the time and event columns and lists the covariates to load."""
+    """Names the time and event columns and lists the covariates to load
+    (possibly none: a response-only load)."""
 
     time_column: str
     event_column: str
     covariates: tuple[ColumnSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.covariates:
-            raise DataError("schema must declare at least one covariate column")
         declared = [self.time_column, self.event_column] + [c.name for c in self.covariates]
         if len(set(declared)) != len(declared):
             raise DataError("schema declares a column twice")
@@ -308,8 +307,8 @@ def subset_weights(
     w = np.asarray(w, dtype=float)
     if w.shape != (ds.n,):
         raise DataError(f"weights have shape {w.shape}, expected ({ds.n},)")
-    if np.any(w < 0):
-        raise DataError("case weights must be non-negative")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DataError("case weights must be finite and non-negative")
     m = rule.mask(ds)
     left = np.where(m, w, 0.0)
     return left, w - left

@@ -61,8 +61,8 @@ def logrank_scores(
     weights = np.asarray(weights, dtype=float)
     if time.shape != event.shape or time.shape != weights.shape:
         raise DataError("time, event and weights must have equal length")
-    if np.any(weights < 0):
-        raise DataError("case weights must be non-negative")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise DataError("case weights must be finite and non-negative")
     if weights.sum() <= 0:
         raise DataError("all case weights are zero")
 

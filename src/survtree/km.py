@@ -54,8 +54,8 @@ def km_estimate(
     if weights is None:
         weights = np.ones_like(time)
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise DataError("case weights must be non-negative")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise DataError("case weights must be finite and non-negative")
     total = weights.sum()
     if total <= 0:
         raise DataError("total case weight is zero")

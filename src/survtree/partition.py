@@ -22,6 +22,7 @@ why it stopped: "alpha", "minsplit", "minbucket" or "max_depth".
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ import numpy as np
 from .data import CATEGORICAL, NUMERIC, Covariate, Dataset, SplitRule, subset_weights
 from .errors import DataError, FitError
 from .influence import encode_covariate, logrank_scores
-from .km import KMCurve, km_estimate
+from .km import km_estimate
 from .permstat import VAR_TOL, SplitTest, adjust_pvalues, test_statistic
 
 MAX_CATEGORICAL_LEVELS = 10
@@ -65,8 +66,10 @@ class FitConfig:
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise FitError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.minbucket < 1:
-            raise FitError(f"minbucket must be >= 1, got {self.minbucket}")
+        if not math.isfinite(self.minbucket) or self.minbucket < 1:
+            raise FitError(f"minbucket must be finite and >= 1, got {self.minbucket}")
+        if not math.isfinite(self.minsplit):
+            raise FitError(f"minsplit must be finite, got {self.minsplit}")
         if self.minsplit < 2 * self.minbucket:
             raise FitError(
                 f"minsplit ({self.minsplit}) must be >= 2 * minbucket ({self.minbucket})"
@@ -90,15 +93,16 @@ class CovariateInfo:
 class TreeNode:
     """One cell of the partition. Internal nodes carry the split rule and the
     selected adjusted p-value; leaves carry the stop reason. Both summarize
-    their observations with effective size, weighted event count and a
-    Kaplan-Meier curve."""
+    their observations with effective size, weighted event count and the
+    Kaplan-Meier median (None if the curve never reaches 0.5). `tests` holds
+    every covariate's selection test on a fitted tree and is None on a tree
+    loaded from its document, which does not store them."""
 
     id: int
     depth: int
-    weights: np.ndarray
     n_effective: float
     events: float
-    km: KMCurve
+    km_median: float | None
     tests: tuple[SplitTest, ...] | None = None
     p_adjusted: float | None = None
     split: SplitRule | None = None
@@ -112,6 +116,9 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class Tree:
+    """A fitted or loaded tree. `nodes` maps id to node in level order, so
+    every parent comes before its children; the root is node 1."""
+
     nodes: dict[int, TreeNode]
     config: FitConfig
     covariate_info: tuple[CovariateInfo, ...]
@@ -261,10 +268,12 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         w0 = np.asarray(weights, dtype=float)
         if w0.shape != (ds.n,):
             raise FitError(f"weights have shape {w0.shape}, expected ({ds.n},)")
-        if np.any(w0 < 0):
-            raise FitError("case weights must be non-negative")
+        if not np.all(np.isfinite(w0)) or np.any(w0 < 0):
+            raise FitError("case weights must be finite and non-negative")
     if float(w0[event].sum()) <= 0:
         raise FitError("dataset has no (positively weighted) events")
+    if not ds.covariates:
+        raise FitError("dataset has no covariates to split on")
     for cov in ds.covariates:
         if cov.kind == CATEGORICAL and not cov.ordered and cov.n_levels > MAX_CATEGORICAL_LEVELS:
             raise FitError(
@@ -292,9 +301,12 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         nid, w, depth = queue.popleft()
         n_eff = float(w.sum())
         events_w = float(w[event].sum())
-        curve = km_estimate(time, event, w)
         base = dict(
-            id=nid, depth=depth, weights=w, n_effective=n_eff, events=events_w, km=curve
+            id=nid,
+            depth=depth,
+            n_effective=n_eff,
+            events=events_w,
+            km_median=km_estimate(time, event, w).median,
         )
 
         if cfg.max_depth is not None and depth >= cfg.max_depth:
@@ -392,6 +404,20 @@ def predict_node(tree: Tree, observation: dict) -> int:
     return node.id
 
 
+def route(tree: Tree, ds: Dataset) -> np.ndarray:
+    """Leaf id of every row of `ds`, from the split rules `fit` partitions
+    by applied to whole columns. `ds` needs only the covariates the tree
+    splits on, with the levels the tree declares."""
+    node_of = np.ones(ds.n, dtype=np.int64)
+    for node in tree.nodes.values():  # parents first: a node's rows are settled
+        if not node.is_leaf:
+            here = node_of == node.id
+            left = node.split.mask(ds)
+            node_of[here & left] = node.children[0]
+            node_of[here & ~left] = node.children[1]
+    return node_of
+
+
 def describe_rule(rule: SplitRule, info: CovariateInfo) -> tuple[str, str]:
     """Human-readable (left, right) edge labels for a split."""
     if rule.cutoff is not None and info.kind == NUMERIC:
@@ -414,7 +440,7 @@ def render_text(tree: Tree) -> str:
         prefix = f"{pad}[{node.id}]"
         if edge:
             prefix += f" ({edge})"
-        med = node.km.median
+        med = node.km_median
         med_s = "NA" if med is None else f"{med:.6g}"
         if node.is_leaf:
             lines.append(

@@ -93,8 +93,8 @@ def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStati
     n, p = g.shape
     if a.shape != (n,) or w.shape != (n,):
         raise DataError("design, scores and weights disagree in length")
-    if np.any(w < 0):
-        raise DataError("case weights must be non-negative")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DataError("case weights must be finite and non-negative")
     wsum = w.sum()
     if wsum < 2:
         raise DataError(f"total case weight {wsum} < 2: nothing to test")

@@ -4,6 +4,12 @@ JSON is the single source of truth; DOT and text renderings are derived
 views. The document writer is canonical — sorted keys, two-space indent,
 floats formatted with 17 significant digits — so serialize -> parse ->
 serialize is byte-identical and equal trees produce equal files.
+
+`tree_to_document` and `document_to_tree` convert between a fitted `Tree`
+and its document. Loading rebuilds the `Tree` that `fit` returned, except
+for the per-node selection tests, which documents do not store; every
+consumer of a saved tree (`predict`, `km`, `export-dot`) works on that
+`Tree`, so there is a single router, `partition.predict_node`.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ import json
 import math
 import os
 import tempfile
+from collections import deque
 
 from . import __version__
+from .data import CATEGORICAL, NUMERIC, SplitRule
 from .errors import DataError
-from .data import SplitRule
-from .partition import CovariateInfo, Tree, describe_rule, _route
+from .partition import CovariateInfo, FitConfig, TestMethod, Tree, TreeNode, describe_rule
 
 FORMAT_VERSION = 1
 
@@ -95,13 +102,12 @@ def tree_to_document(
     nodes = []
     for nid in sorted(tree.nodes):
         node = tree.nodes[nid]
-        med = node.km.median
         entry = {
             "id": node.id,
             "kind": "leaf" if node.is_leaf else "internal",
             "n": float(node.n_effective),
             "events": float(node.events),
-            "km_median": None if med is None else float(med),
+            "km_median": None if node.km_median is None else float(node.km_median),
             "p_adjusted": None if node.p_adjusted is None else float(node.p_adjusted),
         }
         if node.is_leaf:
@@ -140,6 +146,112 @@ def tree_to_document(
     }
 
 
+def _number(x) -> float:
+    """A finite float from a document field (JSON also admits NaN/Infinity)."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise DataError(f"non-finite number {x!r}")
+    return v
+
+
+def _optional_number(x) -> float | None:
+    return None if x is None else _number(x)
+
+
+def document_to_tree(doc: dict) -> Tree:
+    """Rebuild the fitted `Tree` a document describes (`tests` stays None).
+
+    Every node must be reached exactly once from node 1: a cycle, a child
+    shared by two parents, an unreachable node, an unknown node kind, a
+    child list that is not two node ids, a split on an unknown covariate or
+    one that does not fit the covariate's kind (an ordinal cut-off must be
+    a level index below the last), and a missing or non-finite field are
+    all DataErrors.
+    """
+    try:
+        cfg = doc["config"]
+        test = cfg["test"]
+        config = FitConfig(
+            alpha=_number(cfg["alpha"]),
+            minsplit=_number(cfg["minsplit"]),
+            minbucket=_number(cfg["minbucket"]),
+            max_depth=cfg["max_depth"],
+            test=TestMethod(test["method"], test["replicates"], test["seed"]),
+        )
+        info = tuple(
+            CovariateInfo(
+                c["name"],
+                c["kind"],
+                tuple(c["levels"]) if c["levels"] else None,
+                bool(c["ordered"]),
+            )
+            for c in cfg["covariates"]
+        )
+        by_name = {ci.name: ci for ci in info}
+        for ci in info:
+            if ci.kind not in (NUMERIC, CATEGORICAL) or (ci.kind == CATEGORICAL and not ci.levels):
+                raise DataError(f"covariate {ci.name!r} has a bad kind or no levels")
+
+        entries = {}
+        for entry in doc["nodes"]:
+            if entry["id"] in entries:
+                raise DataError(f"node id {entry['id']} appears twice")
+            entries[entry["id"]] = entry
+        if 1 not in entries:
+            raise DataError("no root node 1")
+
+        nodes: dict[int, TreeNode] = {}
+        reached = {1}
+        queue = deque([(1, 0)])
+        while queue:
+            nid, depth = queue.popleft()
+            entry = entries[nid]
+            base = dict(
+                id=nid,
+                depth=depth,
+                n_effective=_number(entry["n"]),
+                events=_number(entry["events"]),
+                km_median=_optional_number(entry["km_median"]),
+                p_adjusted=_optional_number(entry["p_adjusted"]),
+            )
+            if entry["kind"] == "leaf":
+                nodes[nid] = TreeNode(**base, stop_reason=entry["stop_reason"])
+                continue
+            if entry["kind"] != "internal":
+                raise DataError(f"node {nid} has unknown kind {entry['kind']!r}")
+            ci = by_name.get(entry["covariate"])
+            if ci is None:
+                raise DataError(f"node {nid} splits on unknown covariate {entry['covariate']!r}")
+            split = entry["split"]
+            if "cutoff" in split:
+                rule = SplitRule(ci.name, cutoff=_number(split["cutoff"]))
+            else:
+                rule = SplitRule(ci.name, subset=tuple(split["subset"]))
+            if (
+                (rule.cutoff is not None) != (ci.kind == NUMERIC or ci.ordered)
+                or (ci.ordered and rule.cutoff not in range(len(ci.levels) - 1))
+                or (rule.subset is not None and not set(rule.subset) <= set(ci.levels))
+            ):
+                raise DataError(f"node {nid}: split does not fit covariate {ci.name!r}")
+            kids = entry["children"]
+            if not isinstance(kids, list) or len(kids) != 2 or any(k not in entries for k in kids):
+                raise DataError(f"node {nid} has bad children {kids!r}")
+            for kid in kids:
+                if kid in reached:
+                    raise DataError(f"node {kid} is reached twice (a cycle or a shared child)")
+                reached.add(kid)
+            nodes[nid] = TreeNode(**base, split=rule, children=tuple(kids))
+            queue.extend((kid, depth + 1) for kid in kids)
+        unreachable = sorted(set(entries) - reached, key=str)
+        if unreachable:
+            raise DataError(f"nodes {unreachable} are not reachable from node 1")
+    except DataError as exc:
+        raise DataError(f"malformed tree document: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed tree document: bad or missing field {exc}") from exc
+    return Tree(nodes=nodes, config=config, covariate_info=info)
+
+
 def parse_document(text: str) -> dict:
     """Parse and validate a tree document; raises DataError when malformed."""
     try:
@@ -148,65 +260,8 @@ def parse_document(text: str) -> dict:
         raise DataError(f"malformed tree document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise DataError("malformed tree document: bad or missing format_version")
-    nodes = doc.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
-        raise DataError("malformed tree document: no nodes")
-    ids = {n.get("id") for n in nodes}
-    if len(ids) != len(nodes) or 1 not in ids:
-        raise DataError("malformed tree document: node ids must be unique and include 1")
-    for n in nodes:
-        if n.get("kind") == "internal":
-            if "split" not in n or "covariate" not in n:
-                raise DataError(f"malformed tree document: node {n.get('id')} lacks a split")
-            kids = n.get("children")
-            if not isinstance(kids, list) or len(kids) != 2 or any(k not in ids for k in kids):
-                raise DataError(
-                    f"malformed tree document: node {n.get('id')} has bad children"
-                )
-        elif n.get("kind") != "leaf":
-            raise DataError(f"malformed tree document: node {n.get('id')} has unknown kind")
-    covs = doc.get("config", {}).get("covariates")
-    if not isinstance(covs, list):
-        raise DataError("malformed tree document: missing covariate metadata")
+    document_to_tree(doc)
     return doc
-
-
-def _doc_info(doc: dict, name: str) -> CovariateInfo:
-    for c in doc["config"]["covariates"]:
-        if c["name"] == name:
-            return CovariateInfo(
-                name=name,
-                kind=c["kind"],
-                levels=tuple(c["levels"]) if c.get("levels") else None,
-                ordered=bool(c.get("ordered")),
-            )
-    raise DataError(f"tree document references unknown covariate {name!r}")
-
-
-def _doc_rule(node: dict) -> SplitRule:
-    split = node["split"]
-    if "cutoff" in split:
-        return SplitRule(node["covariate"], cutoff=float(split["cutoff"]))
-    return SplitRule(node["covariate"], subset=tuple(split["subset"]))
-
-
-def route_document(doc: dict, observation: dict) -> dict:
-    """Route one observation through a parsed document; returns the leaf
-    node entry. Same error contract as partition.predict_node."""
-    by_id = {n["id"]: n for n in doc["nodes"]}
-    node = by_id[1]
-    while node["kind"] == "internal":
-        rule = _doc_rule(node)
-        if rule.covariate not in observation or observation[rule.covariate] is None:
-            raise DataError(f"observation missing split covariate {rule.covariate!r}")
-        try:
-            left = _route(observation[rule.covariate], _doc_info(doc, rule.covariate), rule)
-        except (TypeError, ValueError) as exc:
-            raise DataError(
-                f"bad value for split covariate {rule.covariate!r}: {exc}"
-            ) from exc
-        node = by_id[node["children"][0] if left else node["children"][1]]
-    return node
 
 
 def _dot_escape(s: str) -> str:
@@ -217,32 +272,30 @@ def document_to_dot(doc: dict) -> str:
     """DOT digraph: internal nodes show the split variable and p-value, edges
     the split condition, leaves their size, events and KM median. Nodes are
     emitted in id order, so equal documents give identical bytes."""
+    tree = document_to_tree(doc)
+    nodes = [tree.nodes[nid] for nid in sorted(tree.nodes)]
     lines = [
         "digraph survival_tree {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    nodes = sorted(doc["nodes"], key=lambda n: n["id"])
-    by_id = {n["id"]: n for n in nodes}
-    for n in nodes:
-        if n["kind"] == "internal":
-            p = n.get("p_adjusted")
-            p_s = "NA" if p is None else f"{p:.4g}"
-            pieces = [n["covariate"], f"p = {p_s}"]
+    for node in nodes:
+        if node.is_leaf:
+            med_s = "NA" if node.km_median is None else f"{node.km_median:.6g}"
+            pieces = [
+                f"n = {node.n_effective:g}",
+                f"events = {node.events:g}",
+                f"median = {med_s}",
+            ]
         else:
-            med = n.get("km_median")
-            med_s = "NA" if med is None else f"{med:.6g}"
-            pieces = [f"n = {n['n']:g}", f"events = {n['events']:g}", f"median = {med_s}"]
+            p_s = "NA" if node.p_adjusted is None else f"{node.p_adjusted:.4g}"
+            pieces = [node.split.covariate, f"p = {p_s}"]
         label = "\\n".join(_dot_escape(p) for p in pieces)
-        lines.append(f'  n{n["id"]} [label="{label}"];')
-    for n in nodes:
-        if n["kind"] != "internal":
+        lines.append(f'  n{node.id} [label="{label}"];')
+    for node in nodes:
+        if node.is_leaf:
             continue
-        rule = _doc_rule(n)
-        left_label, right_label = describe_rule(rule, _doc_info(doc, n["covariate"]))
-        kids = n["children"]
-        for kid, lab in zip(kids, (left_label, right_label)):
-            if kid not in by_id:
-                raise DataError(f"malformed tree document: missing node {kid}")
-            lines.append(f'  n{n["id"]} -> n{kid} [label="{_dot_escape(lab)}"];')
+        labels = describe_rule(node.split, tree.info(node.split.covariate))
+        for kid, lab in zip(node.children, labels):
+            lines.append(f'  n{node.id} -> n{kid} [label="{_dot_escape(lab)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,14 @@ def make_dataset(rng, n, n_numeric=2, n_categorical=1, censor_frac=0.4):
     return Dataset(tuple(covs), SurvivalResponse(time, event))
 
 
+def observation(ds, i):
+    """Row i of a Dataset as the mapping predict_node routes."""
+    return {
+        c.name: float(c.values[i]) if c.kind == NUMERIC else c.levels[int(c.values[i])]
+        for c in ds.covariates
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240816))

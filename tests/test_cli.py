@@ -2,9 +2,11 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from survtree.cli import main
 from survtree.treedoc import dumps_canonical, parse_document
+from test_treedoc import STRUCTURAL_DEFECTS
 
 COVARIATES = "sex,age,blood_type,bmi,etiology,hcc,meld"
 
@@ -275,6 +277,71 @@ def test_km_every_file_has_rows(tmp_path):
         rows = open(os.path.join(out_dir, name), encoding="utf-8").read().strip().splitlines()
         assert rows[0] == "time,survival"
         assert len(rows) >= 2
+
+
+def edit_cells(src, dst, edits):
+    """Copy a CSV, replacing cells: edits maps (data row, column) to text."""
+    lines = open(src, encoding="utf-8").read().splitlines()
+    header = lines[0].split(",")
+    for (row, column), text in edits.items():
+        cells = lines[row + 1].split(",")
+        cells[header.index(column)] = text
+        lines[row + 1] = ",".join(cells)
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return dst
+
+
+def test_km_drops_only_rows_it_cannot_route(tmp_path, capsys):
+    # the tree splits only on meld: a blank etiology and an unknown blood
+    # type do not keep a row out of its leaf, as they do not for predict
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data)
+    doc = json.load(open(tree_path, encoding="utf-8"))
+    assert {n["covariate"] for n in doc["nodes"] if n["kind"] == "internal"} == {"meld"}
+    edited = edit_cells(data, str(tmp_path / "edited.csv"),
+                        {(5, "etiology"): "", (9, "blood_type"): "XX"})
+    assert run("km", "--tree", tree_path, "--data", data, "--out-dir", str(tmp_path / "a")) == 0
+    capsys.readouterr()
+    assert run("km", "--tree", tree_path, "--data", edited, "--out-dir", str(tmp_path / "b")) == 0
+    assert "dropped" not in capsys.readouterr().err
+    for name in ("leaf_2.csv", "leaf_3.csv"):
+        assert (open(tmp_path / "a" / name, "rb").read()
+                == open(tmp_path / "b" / name, "rb").read())
+    pred = str(tmp_path / "pred.csv")
+    assert run("predict", "--tree", tree_path, "--data", edited, "--out", pred) == 0
+
+
+def test_km_removes_stale_leaf_curves(tmp_path):
+    data = simulate(tmp_path)
+    three = fit_tree(tmp_path, data, "three.json", "--max-depth", "1")
+    one = fit_tree(tmp_path, data, "one.json", "--max-depth", "0")
+    out_dir = tmp_path / "km"
+    assert run("km", "--tree", three, "--data", data, "--out-dir", str(out_dir)) == 0
+    assert sorted(os.listdir(out_dir)) == ["leaf_2.csv", "leaf_3.csv"]
+    (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
+    assert run("km", "--tree", one, "--data", data, "--out-dir", str(out_dir)) == 0
+    assert sorted(os.listdir(out_dir)) == ["leaf_1.csv", "notes.txt"]
+
+
+@pytest.mark.parametrize("defect, message", STRUCTURAL_DEFECTS)
+@pytest.mark.parametrize("command", ["predict", "km", "export-dot"])
+def test_malformed_tree_structure_exits_3(tmp_path, capsys, command, defect, message):
+    data = simulate(tmp_path)
+    doc = json.load(open(fit_tree(tmp_path, data, "t.json", "--max-depth", "1"), encoding="utf-8"))
+    assert len(doc["nodes"]) == 3
+    defect(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "predict": ["--data", data, "--out", out],
+        "km": ["--data", data, "--out-dir", out],
+        "export-dot": ["--out", out],
+    }[command]
+    assert run(command, "--tree", str(bad), *argv) == 3
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_unknown_subcommand_exits_2():

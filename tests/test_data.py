@@ -143,6 +143,13 @@ def test_schema_duplicate_column_rejected():
         Schema("t", "t", (ColumnSpec("x"),))
 
 
+def test_response_only_load_ignores_covariate_cells(tmp_path):
+    path = write(tmp_path, "time,event,meld\n10,1,\n,0,18\n30,1,x\n")
+    ds, dropped = load_csv(path, Schema("time", "event"))
+    assert (ds.n, ds.m, dropped) == (2, 0, 1)
+    np.testing.assert_allclose(ds.response.time, [10, 30])
+
+
 # --- subset_weights ----------------------------------------------------------
 
 
@@ -180,6 +187,12 @@ def test_subset_weights_unknown_covariate():
     ds = two_col_dataset()
     with pytest.raises(DataError, match="unknown covariate"):
         subset_weights(ds, np.ones(3), SplitRule("nope", cutoff=1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subset_weights_non_finite_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        subset_weights(two_col_dataset(), np.array([1.0, bad, 1.0]), SplitRule("x", cutoff=2.0))
 
 
 def test_subset_weights_partition_property(rng):

@@ -36,6 +36,12 @@ def test_all_zero_weights_rejected():
         logrank_scores(np.array([1.0, 2.0]), np.array([True, False]), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        logrank_scores(np.array([1.0, 2.0]), np.array([True, False]), np.array([1.0, bad]))
+
+
 def test_scores_sum_to_zero_unit_weights(rng):
     for _ in range(50):
         n = int(rng.integers(2, 60))

@@ -34,6 +34,12 @@ def test_zero_total_weight_rejected():
         km_estimate(np.array([1.0]), np.array([True]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        km_estimate(np.array([1.0, 2.0]), np.array([True, True]), np.array([bad, 1.0]))
+
+
 def test_no_censoring_matches_empirical_tail(rng):
     for _ in range(20):
         n = int(rng.integers(2, 40))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, observation
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -17,6 +17,7 @@ from survtree import (
     logrank_scores,
     predict_node,
     render_text,
+    subset_weights,
 )
 
 SMALL = FitConfig(alpha=0.05, minsplit=4, minbucket=2)
@@ -152,17 +153,18 @@ def test_children_weights_sum_to_parent(rng):
         if node.is_leaf:
             continue
         l, r = (tree.nodes[i] for i in node.children)
-        np.testing.assert_array_equal(l.weights + r.weights, node.weights)
+        assert l.n_effective + r.n_effective == node.n_effective
+        assert l.events + r.events == node.events
         assert node.p_adjusted <= 0.9
 
 
 def test_leaves_cover_every_observation_once(rng):
     ds = make_dataset(rng, 100)
     tree = fit(ds, FitConfig(alpha=0.8, minsplit=10, minbucket=4))
-    total = np.zeros(100)
-    for leaf in tree.leaves():
-        total += (leaf.weights > 0).astype(float)
-    np.testing.assert_array_equal(total, np.ones(100))
+    leaves = [predict_node(tree, observation(ds, i)) for i in range(ds.n)]
+    counts = {leaf.id: leaves.count(leaf.id) for leaf in tree.leaves()}
+    assert counts == {leaf.id: leaf.n_effective for leaf in tree.leaves()}
+    assert sum(counts.values()) == 100
 
 
 def test_node_ids_are_level_order(rng):
@@ -217,6 +219,35 @@ def test_invalid_config_rejected(rng):
         fit(ds, FitConfig(minsplit=2, minbucket=0.5))
     with pytest.raises(FitError, match="test method"):
         fit(ds, FitConfig(test=TestMethod("bogus")))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_case_weights_rejected(rng, bad):
+    ds = make_dataset(rng, 20)
+    w = np.ones(20)
+    w[3] = bad
+    with pytest.raises(FitError, match="finite"):
+        fit(ds, SMALL, weights=w)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FitConfig(minbucket=np.nan),
+        FitConfig(minsplit=np.nan, minbucket=np.nan),
+        FitConfig(minsplit=np.inf),
+        FitConfig(minsplit=np.inf, minbucket=np.inf),
+    ],
+)
+def test_non_finite_config_rejected(rng, config):
+    with pytest.raises(FitError, match="finite"):
+        fit(make_dataset(rng, 20), config)
+
+
+def test_no_covariates_rejected(rng):
+    ds = make_dataset(rng, 20)
+    with pytest.raises(FitError, match="no covariates"):
+        fit(Dataset((), ds.response), SMALL)
 
 
 def test_too_many_categorical_levels_rejected(rng):
@@ -358,10 +389,10 @@ def test_scores_recomputed_within_nodes(rng):
     tree = fit(ds, FitConfig(alpha=0.99, minsplit=10, minbucket=4))
     if tree.root.is_leaf:
         pytest.skip("no split under this seed")
-    child = tree.nodes[tree.root.children[0]]
-    node_scores = logrank_scores(ds.response.time, ds.response.event, child.weights)
-    root_scores = logrank_scores(ds.response.time, ds.response.event, tree.root.weights)
-    active = child.weights > 0
+    child_weights, _ = subset_weights(ds, np.ones(ds.n), tree.root.split)
+    node_scores = logrank_scores(ds.response.time, ds.response.event, child_weights)
+    root_scores = logrank_scores(ds.response.time, ds.response.event)
+    active = child_weights > 0
     assert not np.allclose(node_scores[active], root_scores[active])
 
 

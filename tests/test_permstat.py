@@ -46,6 +46,12 @@ def test_total_weight_below_two_rejected():
         linear_statistic(np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        linear_statistic(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
+
+
 def test_standardize_examples():
     mk = lambda T, mu, sig: LinearStatistic(np.array(T), np.array(mu), np.array(sig))
     assert standardize_max(mk([3.0], [1.0], [[4.0]])) == pytest.approx(1.0)
