@@ -10,7 +10,6 @@ and all randomness enters through explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import io
@@ -20,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .data import NUMERIC, ColumnSpec, Schema, dataset_to_csv, load_csv
+from .data import NUMERIC, ColumnSpec, Schema, dataset_to_csv, load_csv, read_csv_table
 from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
@@ -201,14 +200,6 @@ def _load_document(path: str) -> dict:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_rows(path: str) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _row_observation(row: dict, tree: Tree) -> dict:
     """Typed observation from a raw CSV row: numeric covariates parsed as
     floats, categoricals kept as strings; missing/blank cells omitted."""
@@ -230,7 +221,7 @@ def _row_observation(row: dict, tree: Tree) -> dict:
 
 def _cmd_predict(args) -> int:
     tree = document_to_tree(_load_document(args.tree))
-    rows = _read_rows(args.data)
+    header, rows = read_csv_table(args.data)
     if not rows:
         raise DataError(f"{args.data}: no data rows")
     out = io.StringIO()
@@ -238,7 +229,7 @@ def _cmd_predict(args) -> int:
     errors = []
     for i, row in enumerate(rows):
         try:
-            leaf = predict_node(tree, _row_observation(row, tree))
+            leaf = predict_node(tree, _row_observation(dict(zip(header, row)), tree))
         except DataError as exc:
             errors.append(f"row {i}: {exc}")
             continue

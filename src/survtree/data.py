@@ -155,17 +155,12 @@ def _parse_float(cell: str) -> float | None:
     return v if np.isfinite(v) else None
 
 
-def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
-    """Read an RFC-4180-style CSV (UTF-8, header row, '.' decimals) into a
-    Dataset.
-
-    Rows with a missing or unparseable value in any declared column are
-    dropped (listwise deletion); the second return value is the dropped-row
-    count. Domain violations are errors, never dropped: an event cell outside
-    {0, 1, true, false} or a negative time aborts the load.
-    """
+def read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank rows of an RFC-4180-style CSV in UTF-8, with or
+    without a byte-order mark. Header names are stripped of surrounding
+    whitespace; a header that names a column twice is a DataError."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -174,8 +169,22 @@ def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
             rows = [row for row in reader if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
     header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if h and header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
+    return header, rows
+
+
+def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
+    """Read a CSV (see read_csv_table; '.' decimals) into a Dataset.
+
+    Rows with a missing or unparseable value in any declared column are
+    dropped (listwise deletion); the second return value is the dropped-row
+    count. Domain violations are errors, never dropped: an event cell outside
+    {0, 1, true, false} or a negative time aborts the load.
+    """
+    header, rows = read_csv_table(path)
     col_index: dict[str, int] = {}
     for name in [schema.time_column, schema.event_column] + [c.name for c in schema.covariates]:
         if name not in header:

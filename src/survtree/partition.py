@@ -32,7 +32,7 @@ from .data import CATEGORICAL, NUMERIC, Covariate, Dataset, SplitRule, subset_we
 from .errors import DataError, FitError
 from .influence import encode_covariate, logrank_scores
 from .km import km_estimate
-from .permstat import VAR_TOL, SplitTest, adjust_pvalues, test_statistic
+from .permstat import VAR_TOL, SplitTest, adjust_pvalues, log_pvalue_asymptotic, test_statistic
 
 MAX_CATEGORICAL_LEVELS = 10
 
@@ -318,28 +318,29 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
 
         scores = logrank_scores(time, event, w)
         try:
-            raw = [
-                test_statistic(
-                    selection_design(c, w),
-                    scores,
-                    w,
-                    cfg.test.name,
-                    cfg.test.replicates,
-                    cfg.test.seed,
-                )
-                for c in ds.covariates
-            ]
+            raw = test_statistic(
+                [selection_design(c, w) for c in ds.covariates],
+                scores,
+                w,
+                cfg.test.name,
+                cfg.test.replicates,
+                cfg.test.seed,
+            )
         except DataError as exc:
             raise FitError(f"node {nid}: {exc}") from exc
-        p_adj = adjust_pvalues(np.array([p for _, p in raw]))
+        p_adj = adjust_pvalues(np.array([p for _, p, _ in raw]))
         tests = tuple(
             SplitTest(c.name, cm, pr, float(pa), cfg.test.name)
-            for c, (cm, pr), pa in zip(ds.covariates, raw, p_adj)
+            for c, (cm, pr, _), pa in zip(ds.covariates, raw, p_adj)
         )
         # ties go to declaration order; p-values within 1e-10 relative count
         # as tied so that two covariates inducing the same partition are not
-        # ranked by floating-point summation noise
-        j = int(np.flatnonzero(p_adj <= p_adj.min() * (1.0 + 1e-10))[0])
+        # ranked by floating-point summation noise. Asymptotic p-values that
+        # underflowed to 0.0 are ranked by their log instead.
+        tied = np.flatnonzero(p_adj <= p_adj.min() * (1.0 + 1e-10))
+        j = int(tied[0])
+        if p_adj[j] == 0.0 and tied.size > 1:
+            j = int(min(tied, key=lambda k: log_pvalue_asymptotic(raw[k][0], raw[k][2])))
         p_min = float(p_adj[j])
 
         if p_min > cfg.alpha:

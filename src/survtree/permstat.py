@@ -1,5 +1,5 @@
-"""Permutation-test engine for the association between one transformed
-covariate and a score vector.
+"""Permutation-test engine for the association between transformed
+covariates and a score vector.
 
 For an n x p design g, scores a and case weights w, the linear statistic is
 
@@ -21,7 +21,11 @@ enumeration over all permutations.
 
 Determinism: Monte-Carlo replicate b draws from a numpy Philox stream keyed
 by key = seed + (b+1) * 2^64, so the returned p-value depends only on
-(inputs, seed, B), never on evaluation order. Replicate comparisons use
+(inputs, seed, B), never on evaluation order. Because replicate b depends
+only on (seed, b, n_exp), it is the same permutation for every covariate of
+a node: test_statistic takes all of a node's designs, draws one permutation
+set (Monte-Carlo replicates or, for exact, every permutation), and scores
+each design on it in one resampling loop. Replicate comparisons use
 c >= c_obs - 1e-8*max(1, c_obs): permutation ties are counted as "at least as
 extreme" without float-rounding fragility, which can only enlarge p-values.
 
@@ -129,15 +133,19 @@ def effective_dof(ls: LinearStatistic) -> int:
     return int(np.sum(np.diagonal(ls.sigma) > VAR_TOL))
 
 
-def _normal_upper_tail(x: float) -> float:
-    """Q(x) = 1 - Phi(x) for x >= 0, via Abramowitz & Stegun 26.2.17
-    (|err| < 7.5e-8). Evaluated directly so tiny tails keep full precision."""
+def _tail_poly(x: float) -> float:
+    """The rational factor of Abramowitz & Stegun 26.2.17 at x >= 0."""
     t = 1.0 / (1.0 + 0.2316419 * x)
-    poly = t * (
+    return t * (
         0.319381530
         + t * (-0.356563782 + t * (1.781477937 + t * (-1.821255978 + t * 1.330274429)))
     )
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * poly
+
+
+def _normal_upper_tail(x: float) -> float:
+    """Q(x) = 1 - Phi(x) for x >= 0, via Abramowitz & Stegun 26.2.17
+    (|err| < 7.5e-8). Evaluated directly so tiny tails keep full precision."""
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * _tail_poly(x)
 
 
 def normal_cdf(x: float) -> float:
@@ -161,38 +169,109 @@ def pvalue_asymptotic(c_max: float, dof: int) -> float:
         return 1.0
     q = min(0.5, _normal_upper_tail(c_max))
     if q <= 0.0:
-        return 0.0  # beyond float range (c_max > 38); ties fall back to order
+        return 0.0  # beyond float range (c_max > 38); fit ranks these by log p
     return -math.expm1(dof * math.log1p(-2.0 * q))
 
 
-def _expand_indices(w: np.ndarray) -> np.ndarray:
-    """Index multiset with each observation repeated by its integer weight."""
+def log_pvalue_asymptotic(c_max: float, dof: int) -> float:
+    """log of pvalue_asymptotic's p for large c_max, where p ~ 2*dof*Q(c_max):
+    log(2 dof) - c_max^2/2 - log(2 pi)/2 + log poly(t), the same A&S 26.2.17
+    expression in log space. It stays finite and ordered long after p
+    underflows to 0.0. Requires c_max > 0 and dof >= 1."""
+    return (
+        math.log(2.0 * dof)
+        - 0.5 * c_max * c_max
+        - 0.5 * math.log(2.0 * math.pi)
+        + math.log(_tail_poly(c_max))
+    )
+
+
+def _philox_permutations(n_exp: int, B: int, seed: int):
+    """Monte-Carlo replicates in batches: row b is the permutation of
+    range(n_exp) drawn from the Philox stream keyed seed + (b+1) * 2^64.
+    One buffer is refilled in place, so a batch is valid until the next."""
+    seed = int(seed) & _MASK64
+    batch = max(1, 2_000_000 // n_exp)
+    perms = np.empty((min(batch, B), n_exp), dtype=np.int64)
+    for start in range(0, B, batch):
+        stop = min(B, start + batch)
+        for b in range(start, stop):
+            rng = np.random.Generator(np.random.Philox(key=seed + ((b + 1) << 64)))
+            perms[b - start] = rng.permutation(n_exp)
+        yield perms[: stop - start]
+
+
+def _all_permutations(n_exp: int):
+    """Every permutation of range(n_exp), in batches of at most 8!."""
+    perm_iter = itertools.permutations(range(n_exp))
+    while chunk := list(itertools.islice(perm_iter, 40320)):
+        yield np.array(chunk, dtype=np.int64)
+
+
+def _count_hits(designs, stats, c_obs, a, slots, batches) -> list[int]:
+    """Per design, how many permuted score rows (batches of index rows over
+    the expanded multiset `slots`) reach its observed c_max, ties counted
+    with TIE_RTOL slack. Each batch is scored against every design."""
+    a_exp = a[slots]
+    prepared = []
+    for g, ls, c in zip(designs, stats, c_obs):
+        diag = np.diagonal(ls.sigma)
+        keep = diag > VAR_TOL
+        threshold = c - TIE_RTOL * max(1.0, c)
+        prepared.append((g[slots], keep, ls.mu[keep], np.sqrt(diag[keep]), threshold))
+    hits = [0] * len(prepared)
+    for perms in batches:
+        a_perm = a_exp[perms]
+        for j, (g_exp, keep, mu, sd, threshold) in enumerate(prepared):
+            z = np.abs((a_perm @ g_exp)[:, keep] - mu) / sd
+            hits[j] += int(np.sum(z.max(axis=1, initial=0.0) >= threshold))
+        del a_perm  # free it before the next batch is indexed
+    return hits
+
+
+def test_statistic(
+    designs: list[np.ndarray],
+    a: np.ndarray,
+    w: np.ndarray,
+    method: str = "asymptotic",
+    replicates: int = 9999,
+    seed: int = 0,
+) -> list[tuple[float, float, int]]:
+    """(c_max, raw p-value, dof) for each of a node's selection designs
+    under the chosen method; dof counts the non-degenerate coordinates.
+
+    Resampling draws one permutation set for the node and scores every
+    design on it. Integer weights are required for "montecarlo" and
+    "exact", and "exact" caps the expanded size at EXACT_MAX_N.
+    """
+    if method not in ("asymptotic", "montecarlo", "exact"):
+        raise DataError(f"unknown test method {method!r}")
+    if method == "montecarlo" and replicates < 1:
+        raise DataError("need at least one Monte-Carlo replicate")
+    designs = [_as_design(g) for g in designs]
+    a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise DataError("case weights must be non-negative")
+    stats = [linear_statistic(g, a, w) for g in designs]
+    c_max = [standardize_max(ls) for ls in stats]
+    dof = [effective_dof(ls) for ls in stats]
+    if method == "asymptotic":
+        p_raw = [pvalue_asymptotic(c, k) for c, k in zip(c_max, dof)]
+        return list(zip(c_max, p_raw, dof))
+
     if not np.all(w == np.rint(w)):
         raise DataError("resampling requires integer case weights")
-    counts = w.astype(np.int64)
-    return np.repeat(np.arange(w.shape[0]), counts)
-
-
-def _replicate_cmax(
-    a_perm: np.ndarray, g_exp: np.ndarray, mu: np.ndarray, sd: np.ndarray, keep: np.ndarray
-) -> np.ndarray:
-    """c_max for a batch of permuted score rows (B x n_exp)."""
-    T = a_perm @ g_exp  # B x p
-    z = np.abs(T[:, keep] - mu[keep]) / sd[keep]
-    if z.shape[1] == 0:
-        return np.zeros(T.shape[0])
-    return z.max(axis=1)
-
-
-def _moments_for_resampling(g, a, w):
-    ls = linear_statistic(g, a, w)
-    diag = np.diagonal(ls.sigma)
-    keep = diag > VAR_TOL
-    sd = np.sqrt(np.where(keep, diag, 1.0))
-    return ls, keep, sd, standardize_max(ls)
+    slots = np.repeat(np.arange(w.shape[0]), w.astype(np.int64))  # weight-expanded
+    n_exp = slots.shape[0]
+    if method == "montecarlo":
+        batches = _philox_permutations(n_exp, replicates, seed)
+        hits = _count_hits(designs, stats, c_max, a, slots, batches)
+        p_raw = [(1.0 + h) / (replicates + 1.0) for h in hits]
+    else:
+        if n_exp > EXACT_MAX_N:
+            raise DataError(f"exact enumeration needs <= {EXACT_MAX_N} observations, got {n_exp}")
+        hits = _count_hits(designs, stats, c_max, a, slots, _all_permutations(n_exp))
+        p_raw = [h / math.factorial(n_exp) for h in hits]
+    return list(zip(c_max, p_raw, dof))
 
 
 def pvalue_montecarlo(g: np.ndarray, a: np.ndarray, w: np.ndarray, B: int, seed: int) -> float:
@@ -201,31 +280,7 @@ def pvalue_montecarlo(g: np.ndarray, a: np.ndarray, w: np.ndarray, B: int, seed:
     Replicate b permutes the scores over the weight-expanded index multiset
     using Philox stream (seed, b); integer weights required.
     """
-    if B < 1:
-        raise DataError("need at least one Monte-Carlo replicate")
-    g = _as_design(g)
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    ls, keep, sd, c_obs = _moments_for_resampling(g, a, w)
-
-    slots = _expand_indices(w)
-    g_exp = g[slots]
-    a_exp = a[slots]
-    n_exp = slots.shape[0]
-
-    seed = int(seed) & _MASK64
-    threshold = c_obs - TIE_RTOL * max(1.0, c_obs)
-    hits = 0
-    batch = max(1, 2_000_000 // max(1, n_exp))
-    for start in range(0, B, batch):
-        stop = min(B, start + batch)
-        perms = np.empty((stop - start, n_exp), dtype=np.int64)
-        for b in range(start, stop):
-            rng = np.random.Generator(np.random.Philox(key=seed + ((b + 1) << 64)))
-            perms[b - start] = rng.permutation(n_exp)
-        c_rep = _replicate_cmax(a_exp[perms], g_exp, ls.mu, sd, keep)
-        hits += int(np.sum(c_rep >= threshold))
-    return (1.0 + hits) / (B + 1.0)
+    return test_statistic([g], a, w, "montecarlo", B, seed)[0][1]
 
 
 def pvalue_exact(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
@@ -236,31 +291,7 @@ def pvalue_exact(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
     proportion with c_max at least the observed value, ties counted as >=.
     Integer weights only; the expanded size is capped at 10 observations.
     """
-    g = _as_design(g)
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    ls, keep, sd, c_obs = _moments_for_resampling(g, a, w)
-
-    slots = _expand_indices(w)
-    n_exp = slots.shape[0]
-    if n_exp > EXACT_MAX_N:
-        raise DataError(f"exact enumeration needs <= {EXACT_MAX_N} observations, got {n_exp}")
-    g_exp = g[slots]
-    a_exp = a[slots]
-
-    threshold = c_obs - TIE_RTOL * max(1.0, c_obs)
-    total = math.factorial(n_exp)
-    hits = 0
-    perm_iter = itertools.permutations(range(n_exp))
-    chunk_size = 40320
-    while True:
-        chunk = list(itertools.islice(perm_iter, chunk_size))
-        if not chunk:
-            break
-        P = np.array(chunk, dtype=np.int64)
-        c_rep = _replicate_cmax(a_exp[P], g_exp, ls.mu, sd, keep)
-        hits += int(np.sum(c_rep >= threshold))
-    return hits / total
+    return test_statistic([g], a, w, "exact")[0][1]
 
 
 def adjust_pvalues(p_raw: np.ndarray) -> np.ndarray:
@@ -269,23 +300,3 @@ def adjust_pvalues(p_raw: np.ndarray) -> np.ndarray:
     if np.any(p < 0) or np.any(p > 1):
         raise DataError("raw p-values must lie in [0, 1]")
     return np.minimum(1.0, p.shape[0] * p)
-
-
-def test_statistic(
-    g: np.ndarray,
-    a: np.ndarray,
-    w: np.ndarray,
-    method: str = "asymptotic",
-    replicates: int = 9999,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(c_max, raw p-value) for one covariate under the chosen method."""
-    ls = linear_statistic(g, a, w)
-    c_max = standardize_max(ls)
-    if method == "asymptotic":
-        return c_max, pvalue_asymptotic(c_max, effective_dof(ls))
-    if method == "montecarlo":
-        return c_max, pvalue_montecarlo(g, a, w, replicates, seed)
-    if method == "exact":
-        return c_max, pvalue_exact(g, a, w)
-    raise DataError(f"unknown test method {method!r}")

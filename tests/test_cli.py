@@ -324,6 +324,67 @@ def test_km_removes_stale_leaf_curves(tmp_path):
     assert sorted(os.listdir(out_dir)) == ["leaf_1.csv", "notes.txt"]
 
 
+def edit_header(src, dst, edit):
+    """Copy a CSV with one header defect. "duplicate" renames bmi to meld, so
+    meld is named twice; "padded" writes "meld "; "bom" moves meld to the
+    first column and starts the file with a UTF-8 byte-order mark."""
+    rows = [line.split(",") for line in open(src, encoding="utf-8").read().splitlines()]
+    header = rows[0]
+    if edit == "duplicate":
+        header[header.index("bmi")] = "meld"
+    elif edit == "padded":
+        header[header.index("meld")] = "meld "
+    else:
+        j = header.index("meld")
+        rows = [[r[j]] + r[:j] + r[j + 1:] for r in rows]
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.write(("\ufeff" if edit == "bom" else "") + "\n".join(map(",".join, rows)) + "\n")
+    return dst
+
+
+def command_outputs(tmp_path, capsys, command, tree_path, data, tag):
+    """Exit code of `command` on `data` and what it wrote: fit's text render
+    and tree document (without the input file's hash), predict's table, or
+    km's curves."""
+    out = tmp_path / tag
+    capsys.readouterr()
+    if command == "fit":
+        code = run("fit", "--data", data, "--time", "time", "--event", "event",
+                   "--covariates", COVARIATES, "--out", str(out))
+        if not out.exists():
+            return code, None
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        del doc["provenance"]["input_sha256"]
+        return code, (capsys.readouterr().out, doc)
+    flag = "--out" if command == "predict" else "--out-dir"
+    code = run(command, "--tree", tree_path, "--data", data, flag, str(out))
+    if not out.exists():
+        return code, None
+    if out.is_dir():
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "km"])
+def test_duplicate_header_name_exits_3(tmp_path, capsys, command):
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data)
+    edited = edit_header(data, str(tmp_path / "edited.csv"), "duplicate")
+    assert command_outputs(tmp_path, capsys, command, tree_path, edited, "out") == (3, None)
+    assert "'meld' more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "km"])
+@pytest.mark.parametrize("edit", ["bom", "padded"])
+def test_header_bom_and_padding_load_like_plain_header(tmp_path, capsys, edit, command):
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data)
+    edited = edit_header(data, str(tmp_path / "edited.csv"), edit)
+    plain = command_outputs(tmp_path, capsys, command, tree_path, data, "plain")
+    assert plain[0] == 0
+    assert command_outputs(tmp_path, capsys, command, tree_path, edited, "edited") == plain
+
+
 @pytest.mark.parametrize("defect, message", STRUCTURAL_DEFECTS)
 @pytest.mark.parametrize("command", ["predict", "km", "export-dot"])
 def test_malformed_tree_structure_exits_3(tmp_path, capsys, command, defect, message):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, observation
+from mc_oracle import montecarlo_test
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -9,6 +10,7 @@ from survtree import (
     DataError,
     Dataset,
     FitConfig,
+    SimConfig,
     FitError,
     SurvivalResponse,
     TestMethod,
@@ -16,9 +18,12 @@ from survtree import (
     fit,
     logrank_scores,
     predict_node,
+    encode_covariate,
     render_text,
+    simulate_cohort,
     subset_weights,
 )
+from survtree.partition import weighted_midranks
 
 SMALL = FitConfig(alpha=0.05, minsplit=4, minbucket=2)
 
@@ -418,3 +423,45 @@ def test_render_text_mentions_split_and_p(rng):
         assert tree.root.split.covariate in text
         assert "p = " in text
     assert "leaf" in text
+
+
+def test_montecarlo_root_tests_match_per_covariate_oracle():
+    # the node's shared permutation set gives each covariate the p-value its
+    # own per-replicate Philox loop gives on its selection design
+    ds = simulate_cohort(SimConfig(seed=1))
+    tree = fit(ds, FitConfig(max_depth=1, test=TestMethod("montecarlo", 199, 5)))
+    w = np.ones(ds.n)
+    scores = logrank_scores(ds.response.time, ds.response.event, w)
+    for cov, test in zip(ds.covariates, tree.root.tests):
+        if cov.kind == NUMERIC or cov.ordered:
+            design = weighted_midranks(np.asarray(cov.values, dtype=float), w)
+        else:
+            design = encode_covariate(cov)
+        c_max, p_raw = montecarlo_test(design, scores, w, 199, 5)
+        assert (test.covariate, test.c_max, test.p_raw) == (cov.name, c_max, p_raw)
+        assert test.p_adjusted == min(1.0, len(ds.covariates) * p_raw)
+
+
+def test_underflowed_pvalues_ranked_by_log_pvalue():
+    # both covariates are past c_max ~ 38.49, where the asymptotic p-value
+    # underflows to 0.0; the stronger one must win, not the first declared
+    rng = np.random.Generator(np.random.Philox(key=3))
+    n = 4000
+    group = np.arange(n) % 2
+    t = rng.exponential(np.where(group == 1, 50.0, 1000.0))
+    c = rng.exponential(400.0, n)
+    weak = np.where(rng.random(n) < 0.07, 1 - group, group)  # 7% labels flipped
+    strong = group * 10.0 + rng.normal(size=n)
+    ds = Dataset(
+        (
+            Covariate("weak", CATEGORICAL, weak, levels=("a", "b")),
+            Covariate("strong", NUMERIC, strong),
+        ),
+        SurvivalResponse(np.minimum(t, c), t <= c),
+    )
+    root = fit(ds, FitConfig(max_depth=1)).root
+    c_weak, c_strong = (test.c_max for test in root.tests)
+    assert 38.49 < c_weak < c_strong
+    assert [test.p_adjusted for test in root.tests] == [0.0, 0.0]
+    assert root.split.covariate == "strong"
+    assert root.p_adjusted == 0.0

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_oracle import TIE_RTOL, brute_force_cmax, brute_force_pvalue
+from mc_oracle import montecarlo_test
 from survtree import (
     DataError,
     adjust_pvalues,
@@ -15,7 +18,8 @@ from survtree import (
     pvalue_montecarlo,
     standardize_max,
 )
-from survtree.permstat import LinearStatistic, effective_dof
+from survtree import permstat
+from survtree.permstat import LinearStatistic, effective_dof, log_pvalue_asymptotic
 
 
 def test_worked_linear_statistic():
@@ -296,3 +300,87 @@ def test_logrank_two_sample_reduction(rng):
         at_risk = time >= s
         expected += d * float((at_risk & (group == 1)).sum()) / float(at_risk.sum())
     assert ls.T[0] == pytest.approx(observed - expected, abs=1e-10)
+
+
+def _node_design(kind, n, rng):
+    """One selection design of the kinds a node meets, degenerate ones too."""
+    if kind == "numeric":
+        return np.round(rng.normal(size=n), 1)  # rounding leaves score ties
+    if kind == "onehot":  # a level may be absent: a degenerate coordinate
+        g = np.zeros((n, 3))
+        g[np.arange(n), rng.integers(0, 3, n)] = 1.0
+        return g
+    if kind == "constant":
+        return np.full(n, 2.5)
+    return np.column_stack((rng.normal(size=n), np.zeros(n)))  # one dead column
+
+
+DESIGN_KINDS = st.lists(
+    st.sampled_from(["numeric", "onehot", "constant", "degenerate"]), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=DESIGN_KINDS,
+    weights=st.lists(st.integers(0, 3), min_size=2, max_size=14).filter(lambda w: sum(w) >= 2),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    B=st.integers(1, 199),
+)
+def test_node_montecarlo_matches_per_design_oracle(kinds, weights, data_seed, seed, B):
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    designs = [_node_design(k, n, rng) for k in kinds]
+    a = np.round(rng.normal(size=n), 1)
+    w = np.array(weights, dtype=float)
+    node = permstat.test_statistic(designs, a, w, "montecarlo", B, seed)
+    for g, (c_max, p_raw, _) in zip(designs, node):
+        assert (c_max, p_raw) == montecarlo_test(g, a, w, B, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=DESIGN_KINDS,
+    weights=st.lists(st.integers(0, 2), min_size=2, max_size=6).filter(lambda w: 2 <= sum(w) <= 7),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_node_exact_matches_brute_force(kinds, weights, data_seed):
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    designs = [_node_design(k, n, rng) for k in kinds]
+    a = np.round(rng.normal(size=n), 1)
+    w = np.array(weights, dtype=float)
+    node = permstat.test_statistic(designs, a, w, "exact")
+    for g, (_, p_raw, _) in zip(designs, node):
+        assert p_raw == brute_force_pvalue(g.reshape(n, -1).tolist(), list(a), weights)
+
+
+def test_node_montecarlo_matches_oracle_across_batches(rng):
+    # 2000 expanded rows give batches of 1000 replicates: two full, one partial
+    n = 1000
+    w = np.tile([1.0, 2.0, 0.0, 3.0], n // 4)
+    designs = [rng.normal(size=n), _node_design("onehot", n, rng)]
+    a = rng.normal(size=n)
+    node = permstat.test_statistic(designs, a, w, "montecarlo", 2500, 17)
+    for g, (c_max, p_raw, _) in zip(designs, node):
+        assert (c_max, p_raw) == montecarlo_test(g, a, w, 2500, 17)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("resample", [
+    lambda g, a, w: pvalue_montecarlo(g, a, w, 99, 1),
+    lambda g, a, w: pvalue_exact(g, a, w),
+], ids=["montecarlo", "exact"])
+def test_resampling_rejects_non_finite_weights(resample, bad):
+    with pytest.raises(DataError, match="finite"):
+        resample(np.arange(3.0), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
+
+
+def test_log_pvalue_asymptotic_matches_log_of_p_before_underflow():
+    for c_max, dof in [(6.0, 1), (9.0, 3), (20.0, 2), (37.0, 5)]:
+        p = pvalue_asymptotic(c_max, dof)
+        assert log_pvalue_asymptotic(c_max, dof) == pytest.approx(math.log(p), rel=1e-9)
+    assert pvalue_asymptotic(40.0, 1) == 0.0
+    assert log_pvalue_asymptotic(40.0, 1) < log_pvalue_asymptotic(39.0, 1)
+    assert log_pvalue_asymptotic(40.0, 2) > log_pvalue_asymptotic(40.0, 1)
