@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from .data import NUMERIC, ColumnSpec, Schema, dataset_to_csv, load_csv, read_csv_table
+from .data import ColumnSpec, Schema, dataset_to_csv, load_csv, read_csv_columns, typed_column, typed_response
 from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
-from .partition import FitConfig, TestMethod, Tree, fit, predict_node, render_text, route
+from .partition import FitConfig, TestMethod, Tree, fit, render_text, route
 from .treedoc import (
     document_to_dot,
     document_to_tree,
@@ -200,46 +200,37 @@ def _load_document(path: str) -> dict:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _row_observation(row: dict, tree: Tree) -> dict:
-    """Typed observation from a raw CSV row: numeric covariates parsed as
-    floats, categoricals kept as strings; missing/blank cells omitted."""
-    obs = {}
-    for cov in tree.covariate_info:
-        cell = row.get(cov.name)
-        if cell is None or cell.strip() == "":
-            continue
-        cell = cell.strip()
-        if cov.kind == NUMERIC:
-            try:
-                obs[cov.name] = float(cell)
-            except ValueError:
-                continue  # unparseable == missing; routing errors if needed
-        else:
-            obs[cov.name] = cell
-    return obs
+def _split_covariates(tree: Tree) -> list[str]:
+    """The covariates the tree splits on, in declared order."""
+    used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
+    return [c.name for c in tree.covariate_info if c.name in used]
+
+
+def _route_cells(tree: Tree, names: list[str], cells: list[list[str]], n: int):
+    """Each row's deepest node, and whether it reached a leaf, from the raw
+    cells of the split covariates `names`."""
+    columns = {name: typed_column(c, tree.info(name).levels) for name, c in zip(names, cells)}
+    node_of = route(tree, columns, n)
+    return node_of, np.isin(node_of, [leaf.id for leaf in tree.leaves()])
 
 
 def _cmd_predict(args) -> int:
     tree = document_to_tree(_load_document(args.tree))
-    header, rows = read_csv_table(args.data)
-    if not rows:
+    names = _split_covariates(tree)
+    cells, n = read_csv_columns(args.data, names)
+    if not n:
         raise DataError(f"{args.data}: no data rows")
-    out = io.StringIO()
-    out.write("row,leaf,median\n")
-    errors = []
-    for i, row in enumerate(rows):
-        try:
-            leaf = predict_node(tree, _row_observation(dict(zip(header, row)), tree))
-        except DataError as exc:
-            errors.append(f"row {i}: {exc}")
-            continue
-        med = tree.nodes[leaf].km_median
-        out.write(f"{i},{leaf},{'' if med is None else repr(med)}\n")
-    if errors:
-        for line in errors:
-            print(line, file=sys.stderr)
-        raise DataError(f"{len(errors)} of {len(rows)} rows could not be routed")
-    write_atomic(args.out, out.getvalue())
+    node_of, reached = _route_cells(tree, names, cells, n)
+    stuck = np.flatnonzero(~reached).tolist()
+    if stuck:
+        column = dict(zip(names, cells))
+        for i in stuck:
+            name = tree.nodes[int(node_of[i])].split.covariate
+            print(f"row {i}: no usable value for split covariate {name!r}: {column[name][i]!r}", file=sys.stderr)
+        raise DataError(f"{len(stuck)} of {n} rows could not be routed")
+    median = {leaf.id: "" if leaf.km_median is None else repr(leaf.km_median) for leaf in tree.leaves()}
+    lines = "".join(f"{i},{leaf},{median[leaf]}\n" for i, leaf in enumerate(node_of.tolist()))
+    write_atomic(args.out, "row,leaf,median\n" + lines)
     return 0
 
 
@@ -252,32 +243,26 @@ def _cmd_export_dot(args) -> int:
 _LEAF_FILE = re.compile(r"leaf_\d+\.csv")
 
 
-def _split_schema(doc: dict, tree: Tree) -> Schema:
-    """The response plus only the covariates the tree splits on, with their
-    declared levels, so that rows are dropped only when they cannot be
-    routed or lack a response."""
-    used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
-    specs = tuple(
-        ColumnSpec(cov.name, "ordinal" if cov.ordered else cov.kind, cov.levels)
-        for cov in tree.covariate_info
-        if cov.name in used
-    )
-    return Schema(doc["config"]["time_column"], doc["config"]["event_column"], specs)
-
-
 def _cmd_km(args) -> int:
     doc = _load_document(args.tree)
     tree = document_to_tree(doc)
-    ds, dropped = load_csv(args.data, _split_schema(doc, tree))
+    names = _split_covariates(tree)
+    response = [doc["config"]["time_column"], doc["config"]["event_column"]]
+    (time_cells, event_cells, *cells), n = read_csv_columns(args.data, response + names)
+    time, event = typed_response(args.data, time_cells, event_cells)
+    node_of, reached = _route_cells(tree, names, cells, n)
+    keep = reached & np.isfinite(time) & np.isfinite(event)
+    if not keep.any():
+        raise DataError(f"{args.data}: zero rows remain after dropping incomplete records")
+    dropped = n - int(keep.sum())
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
 
-    leaf_of = route(tree, ds)
     os.makedirs(args.out_dir, exist_ok=True)
     written = set()
-    for leaf_id in np.unique(leaf_of).tolist():
-        idx = np.flatnonzero(leaf_of == leaf_id)
-        curve = km_estimate(ds.response.time[idx], ds.response.event[idx])
+    for leaf_id in np.unique(node_of[keep]).tolist():
+        idx = np.flatnonzero(keep & (node_of == leaf_id))
+        curve = km_estimate(time[idx], event[idx] == 1.0)
         out = io.StringIO()
         out.write("time,survival\n")
         out.write("0.0,1.0\n")  # anchor: the curve starts at 1 at t = 0

@@ -9,6 +9,8 @@ pairs and never copies rows.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +19,6 @@ from .errors import DataError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-
-_TRUE_EVENT = {"1", "true"}
-_FALSE_EVENT = {"0", "false"}
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -126,6 +124,10 @@ class ColumnSpec:
     kind: str = "auto"
     levels: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("auto", NUMERIC, CATEGORICAL, "ordinal"):
+            raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -142,139 +144,126 @@ class Schema:
             raise DataError("schema declares a column twice")
 
 
-def _is_missing(cell: str | None) -> bool:
-    return cell is None or cell.strip() == ""
+_EVENT_FLAGS = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0, "": np.nan}
 
 
-def _parse_float(cell: str) -> float | None:
-    """Finite float or None if the cell is unparseable/non-finite."""
+def _float_or_nan(cell: str) -> float:
     try:
-        v = float(cell)
+        return float(cell)
     except ValueError:
-        return None
-    return v if np.isfinite(v) else None
+        return np.nan
 
 
-def read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank rows of an RFC-4180-style CSV in UTF-8, with or
-    without a byte-order mark. Header names are stripped of surrounding
-    whitespace; a header that names a column twice is a DataError."""
+def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]:
+    """The cells of the named columns, in the order named, and the number of
+    data rows, from an RFC-4180-style CSV in UTF-8 with or without a
+    byte-order mark. Blank lines are skipped and a short row reads as blank
+    cells. Header names are stripped of surrounding whitespace; a header that
+    names a column twice, or lacks a named column, is a DataError."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
-    except OSError as exc:
+            repeated = sorted({h for h in header if h and header.count(h) > 1})
+            if repeated:
+                raise DataError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
+            for name in names:
+                if name not in header:
+                    raise DataError(f"{path}: column {name!r} not in header {header}")
+            index = [header.index(name) for name in names]
+            columns: list[list[str]] = [[] for _ in names]
+            n = 0
+            # a block of rows at a time, so that only the named cells are kept
+            while block := list(itertools.islice(reader, 4096)):
+                block = [row for row in block if row]
+                n += len(block)
+                for i, column in zip(index, columns):
+                    column.extend([row[i] if i < len(row) else "" for row in block])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    header = [h.strip() for h in header]
-    repeated = sorted({h for h in header if h and header.count(h) > 1})
-    if repeated:
-        raise DataError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
-    return header, rows
+    return columns, n
+
+
+def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.ndarray:
+    """One typed value per cell. Without `levels`: floats, NaN where a cell is
+    blank, unparseable or non-finite. With `levels`: indices into them, -1
+    where the stripped cell is blank or not a level."""
+    if levels is None:
+        try:
+            x = np.array(cells, dtype=float)  # numpy parses each cell as float() does
+        except ValueError:
+            x = np.array([_float_or_nan(c) for c in cells], dtype=float)
+        x[~np.isfinite(x)] = np.nan
+        return x
+    index = {s: i for i, s in enumerate(levels) if s}
+    return np.array([index.get(c.strip(), -1) for c in cells], dtype=np.int64)
+
+
+def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Times as typed_column floats and event flags as 1.0/0.0, NaN where the
+    event cell is blank. An event cell outside {0, 1, true, false} (any case)
+    or a negative time is a DataError naming the first such line (the event
+    first), whether or not the row would be dropped: invalid values are data
+    bugs, not missingness."""
+    time = typed_column(time_cells)
+    event = np.array([_EVENT_FLAGS.get(c.strip().lower(), -1.0) for c in event_cells], dtype=float)
+    bad = np.flatnonzero((event < 0) | (time < 0))
+    if bad.size:
+        i = int(bad[0])
+        if event[i] < 0:
+            raise DataError(f"{path}:{i + 2}: event value {event_cells[i]!r} not in {{0, 1, true, false}}")
+        raise DataError(f"{path}:{i + 2}: negative time {time_cells[i]!r}")
+    return time, event
 
 
 def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
-    """Read a CSV (see read_csv_table; '.' decimals) into a Dataset.
+    """Read a CSV (see read_csv_columns; '.' decimals) into a Dataset.
 
     Rows with a missing or unparseable value in any declared column are
     dropped (listwise deletion); the second return value is the dropped-row
     count. Domain violations are errors, never dropped: an event cell outside
     {0, 1, true, false} or a negative time aborts the load.
     """
-    header, rows = read_csv_table(path)
-    col_index: dict[str, int] = {}
-    for name in [schema.time_column, schema.event_column] + [c.name for c in schema.covariates]:
-        if name not in header:
-            raise DataError(f"{path}: column {name!r} not in header {header}")
-        col_index[name] = header.index(name)
+    names = [schema.time_column, schema.event_column] + [c.name for c in schema.covariates]
+    (time_cells, event_cells, *covariate_cells), n = read_csv_columns(path, names)
+    time, event = typed_response(path, time_cells, event_cells)
+    keep = np.isfinite(time) & np.isfinite(event)
 
-    def cell(row: list[str], name: str) -> str | None:
-        i = col_index[name]
-        return row[i] if i < len(row) else None
-
-    # Domain validation runs over every row, including rows that listwise
-    # deletion would drop: invalid values are data bugs, not missingness.
-    for lineno, row in enumerate(rows, start=2):
-        ev = cell(row, schema.event_column)
-        if not _is_missing(ev) and ev.strip().lower() not in _TRUE_EVENT | _FALSE_EVENT:
-            raise DataError(
-                f"{path}:{lineno}: event value {ev!r} not in {{0, 1, true, false}}"
-            )
-        tv = cell(row, schema.time_column)
-        if not _is_missing(tv):
-            t = _parse_float(tv)
-            if t is not None and t < 0:
-                raise DataError(f"{path}:{lineno}: negative time {tv!r}")
-
-    # Resolve covariate kinds before dropping, so inference is a property of
-    # the file, not of which rows survive.
-    kinds: dict[str, str] = {}
-    levels: dict[str, tuple[str, ...]] = {}
-    for spec in schema.covariates:
-        cells = [cell(r, spec.name) for r in rows]
-        present = [c.strip() for c in cells if not _is_missing(c)]
+    typed = []
+    for spec, cells in zip(schema.covariates, covariate_cells):
         kind = spec.kind
         if kind == "auto":
-            kind = NUMERIC if all(_parse_float(c) is not None for c in present) else CATEGORICAL
-        if kind in (CATEGORICAL, "ordinal"):
+            # inferred over every row, so that it is a property of the file,
+            # not of which rows survive
+            try:
+                x = np.array([c for c in cells if c.strip()], dtype=float)
+                kind = NUMERIC if np.all(np.isfinite(x)) else CATEGORICAL
+            except ValueError:
+                kind = CATEGORICAL
+        levels = None
+        if kind != NUMERIC:
             # level-count validation happens after dropping: an all-missing
             # column should surface as "zero rows remain", not as bad levels
-            levels[spec.name] = (
-                spec.levels if spec.levels is not None else tuple(sorted(set(present)))
-            )
-        kinds[spec.name] = kind
+            levels = spec.levels
+            if levels is None:
+                levels = tuple(sorted({c.strip() for c in cells} - {""}))
+        values = typed_column(cells, levels)
+        keep &= ~np.isnan(values) if levels is None else values >= 0
+        typed.append((spec.name, kind, values, levels))
 
-    keep: list[bool] = []
-    for row in rows:
-        ok = True
-        if _is_missing(cell(row, schema.event_column)):
-            ok = False
-        tv = cell(row, schema.time_column)
-        if _is_missing(tv) or _parse_float(tv) is None:
-            ok = False
-        for spec in schema.covariates:
-            cv = cell(row, spec.name)
-            if _is_missing(cv):
-                ok = False
-            elif kinds[spec.name] == NUMERIC:
-                if _parse_float(cv) is None:
-                    ok = False
-            else:
-                if cv.strip() not in levels[spec.name]:
-                    ok = False
-        keep.append(ok)
-
-    kept = [row for row, k in zip(rows, keep) if k]
-    dropped = len(rows) - len(kept)
-    if not kept:
+    if not keep.any():
         raise DataError(f"{path}: zero rows remain after dropping incomplete records")
-
-    time = np.array([_parse_float(cell(r, schema.time_column)) for r in kept], dtype=float)
-    event = np.array(
-        [cell(r, schema.event_column).strip().lower() in _TRUE_EVENT for r in kept], dtype=bool
-    )
-
     covariates = []
-    for spec in schema.covariates:
-        raw = [cell(r, spec.name).strip() for r in kept]
-        if kinds[spec.name] == NUMERIC:
-            covariates.append(Covariate(spec.name, NUMERIC, np.array([_parse_float(c) for c in raw])))
-        else:
-            lv = levels[spec.name]
-            if len(lv) < 2:
-                raise DataError(
-                    f"covariate {spec.name!r}: fewer than 2 levels observed/declared"
-                )
-            index = {s: i for i, s in enumerate(lv)}
-            vals = np.array([index[c] for c in raw], dtype=np.int64)
-            covariates.append(
-                Covariate(spec.name, CATEGORICAL, vals, levels=lv, ordered=(kinds[spec.name] == "ordinal"))
-            )
-
-    return Dataset(tuple(covariates), SurvivalResponse(time, event)), dropped
+    for name, kind, values, levels in typed:
+        if levels is not None and len(levels) < 2:
+            raise DataError(f"covariate {name!r}: fewer than 2 levels observed/declared")
+        stored = NUMERIC if levels is None else CATEGORICAL
+        covariates.append(Covariate(name, stored, values[keep], levels, ordered=kind == "ordinal"))
+    response = SurvivalResponse(time[keep], event[keep] == 1.0)
+    return Dataset(tuple(covariates), response), n - int(keep.sum())
 
 
 @dataclass(frozen=True)
@@ -291,21 +280,28 @@ class SplitRule:
         if (self.cutoff is None) == (self.subset is None):
             raise DataError("split rule needs exactly one of cutoff/subset")
 
+    def holds(self, values: np.ndarray, levels: tuple[str, ...] | None) -> np.ndarray:
+        """Boolean vector: True where the condition holds (left child), on a
+        column of usable floats or of indices into the covariate's `levels`."""
+        if self.cutoff is not None:
+            return values <= self.cutoff
+        wanted = np.zeros(len(levels), dtype=bool)
+        wanted[[levels.index(s) for s in self.subset]] = True
+        return wanted[values]
+
     def mask(self, ds: Dataset) -> np.ndarray:
-        """Boolean vector: True where the condition holds (left child)."""
+        """`holds` on the covariate's column in `ds`."""
         cov = ds.covariate(self.covariate)
         if self.cutoff is not None:
             if cov.kind == CATEGORICAL and not cov.ordered:
                 raise DataError(f"numeric cut on unordered categorical {cov.name!r}")
-            return cov.values <= self.cutoff
-        if cov.kind != CATEGORICAL:
+        elif cov.kind != CATEGORICAL:
             raise DataError(f"subset split on numeric covariate {cov.name!r}")
-        wanted = np.zeros(cov.n_levels, dtype=bool)
-        for s in self.subset:
-            if s not in cov.levels:
-                raise DataError(f"split level {s!r} not among levels of {cov.name!r}")
-            wanted[cov.levels.index(s)] = True
-        return wanted[cov.values]
+        else:
+            for s in self.subset:
+                if s not in cov.levels:
+                    raise DataError(f"split level {s!r} not among levels of {cov.name!r}")
+        return self.holds(cov.values, cov.levels)
 
 
 def subset_weights(
@@ -325,18 +321,21 @@ def subset_weights(
 
 def dataset_to_csv(ds: Dataset) -> str:
     """Render a Dataset in the same CSV dialect load_csv reads (covariate
-    columns in declared order, then time,event). Floats use repr, so a
-    load_csv round trip is lossless."""
-    header = [c.name for c in ds.covariates] + ["time", "event"]
-    lines = [",".join(header)]
-    for i in range(ds.n):
-        cells = []
-        for c in ds.covariates:
-            if c.kind == NUMERIC:
-                cells.append(repr(float(c.values[i])))
-            else:
-                cells.append(c.levels[int(c.values[i])])
-        cells.append(repr(float(ds.response.time[i])))
-        cells.append("1" if ds.response.event[i] else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns in declared order, then time,event). Floats use repr and cells
+    are quoted only where needed, so a load_csv round trip is lossless. A
+    covariate name or level that is empty or has surrounding whitespace is a
+    DataError, because load_csv would not read it back unchanged."""
+    for c in ds.covariates:
+        for s in (c.name, *(c.levels or ())):
+            if not s or s != s.strip():
+                raise DataError(f"covariate {c.name!r}: name or level {s!r} is blank or padded")
+    columns = [
+        [repr(v) if c.kind == NUMERIC else c.levels[v] for v in c.values.tolist()] for c in ds.covariates
+    ]
+    columns.append([repr(t) for t in ds.response.time.tolist()])
+    columns.append(["1" if e else "0" for e in ds.response.event.tolist()])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([c.name for c in ds.covariates] + ["time", "event"])
+    writer.writerows(zip(*columns))
+    return out.getvalue()

@@ -405,17 +405,21 @@ def predict_node(tree: Tree, observation: dict) -> int:
     return node.id
 
 
-def route(tree: Tree, ds: Dataset) -> np.ndarray:
-    """Leaf id of every row of `ds`, from the split rules `fit` partitions
-    by applied to whole columns. `ds` needs only the covariates the tree
-    splits on, with the levels the tree declares."""
-    node_of = np.ones(ds.n, dtype=np.int64)
+def route(tree: Tree, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """The deepest node each of `n` rows reaches, from the split rules `fit`
+    partitions by applied to whole columns. `columns` maps every covariate
+    the tree splits on to its typed column (`data.typed_column`, with the
+    levels the tree declares). A row stops at the first split where its value
+    is unusable (NaN or -1), so it ends at an internal node exactly when it
+    cannot be routed."""
+    node_of = np.ones(n, dtype=np.int64)
     for node in tree.nodes.values():  # parents first: a node's rows are settled
         if not node.is_leaf:
-            here = node_of == node.id
-            left = node.split.mask(ds)
-            node_of[here & left] = node.children[0]
-            node_of[here & ~left] = node.children[1]
+            x = columns[node.split.covariate]
+            usable = x >= 0 if x.dtype.kind == "i" else ~np.isnan(x)
+            rows = np.flatnonzero((node_of == node.id) & usable)
+            left = node.split.holds(x[rows], tree.info(node.split.covariate).levels)
+            node_of[rows] = np.where(left, *node.children)
     return node_of
 
 

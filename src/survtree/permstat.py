@@ -189,14 +189,19 @@ def log_pvalue_asymptotic(c_max: float, dof: int) -> float:
 def _philox_permutations(n_exp: int, B: int, seed: int):
     """Monte-Carlo replicates in batches: row b is the permutation of
     range(n_exp) drawn from the Philox stream keyed seed + (b+1) * 2^64.
-    One buffer is refilled in place, so a batch is valid until the next."""
-    seed = int(seed) & _MASK64
+    One Philox is reset to each key and one buffer is refilled in place, so
+    a batch is valid until the next."""
+    bit_generator = np.random.Philox(key=int(seed) & _MASK64)
+    state = bit_generator.state  # key (seed, 0), counter and buffer as built
+    key = state["state"]["key"]
+    rng = np.random.Generator(bit_generator)
     batch = max(1, 2_000_000 // n_exp)
     perms = np.empty((min(batch, B), n_exp), dtype=np.int64)
     for start in range(0, B, batch):
         stop = min(B, start + batch)
         for b in range(start, stop):
-            rng = np.random.Generator(np.random.Philox(key=seed + ((b + 1) << 64)))
+            key[1] = b + 1
+            bit_generator.state = state
             perms[b - start] = rng.permutation(n_exp)
         yield perms[: stop - start]
 

@@ -9,7 +9,8 @@ serialize is byte-identical and equal trees produce equal files.
 and its document. Loading rebuilds the `Tree` that `fit` returned, except
 for the per-node selection tests, which documents do not store; every
 consumer of a saved tree (`predict`, `km`, `export-dot`) works on that
-`Tree`, so there is a single router, `partition.predict_node`.
+`Tree`. `predict` and `km` route whole columns with `partition.route`;
+`partition.predict_node` routes one observation for library callers.
 """
 
 from __future__ import annotations

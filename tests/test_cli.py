@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -383,6 +384,81 @@ def test_header_bom_and_padding_load_like_plain_header(tmp_path, capsys, edit, c
     plain = command_outputs(tmp_path, capsys, command, tree_path, data, "plain")
     assert plain[0] == 0
     assert command_outputs(tmp_path, capsys, command, tree_path, edited, "edited") == plain
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """A 2000-row cohort with the MELD, age and HCC effects and its tree:
+    meld at the root, hcc on both sides, and age only under meld > cut-off
+    and hcc = no."""
+    directory = tmp_path_factory.mktemp("planted")
+    data = str(directory / "cohort.csv")
+    assert run("simulate", "--n", "2000", "--seed", "7", "--age-effect", "33.2:2",
+               "--hcc-effect", "2", "--out", data) == 0
+    tree_path = fit_tree(directory, data)
+    doc = json.load(open(tree_path, encoding="utf-8"))
+    nodes = {n["id"]: n for n in doc["nodes"]}
+    assert [nodes[i].get("covariate") for i in (1, 2, 3, 6)] == ["meld", "hcc", "hcc", "age"]
+    rows = list(csv.DictReader(open(data, encoding="utf-8")))
+    return data, tree_path, nodes[1]["split"]["cutoff"], rows
+
+
+def km_curves(tmp_path, capsys, tree_path, data, tag):
+    """km's exit code, stderr and curve files for `data`."""
+    capsys.readouterr()
+    out_dir = tmp_path / tag
+    code = run("km", "--tree", tree_path, "--data", data, "--out-dir", str(out_dir))
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else None
+    return code, capsys.readouterr().err, files
+
+
+def test_km_and_predict_keep_a_row_blank_off_its_path(tmp_path, capsys, planted):
+    data, tree_path, cutoff, rows = planted
+    i = next(i for i, r in enumerate(rows) if float(r["meld"]) <= cutoff)
+    edited = edit_cells(data, str(tmp_path / "edited.csv"), {(i, "age"): ""})
+    plain = str(tmp_path / "plain.csv")
+    edited_pred = str(tmp_path / "edited_pred.csv")
+    assert run("predict", "--tree", tree_path, "--data", data, "--out", plain) == 0
+    assert run("predict", "--tree", tree_path, "--data", edited, "--out", edited_pred) == 0
+    assert open(plain, "rb").read() == open(edited_pred, "rb").read()
+    code, err, files = km_curves(tmp_path, capsys, tree_path, edited, "edited")
+    assert (code, "dropped" in err) == (0, False)
+    assert files == km_curves(tmp_path, capsys, tree_path, data, "plain")[2]
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("meld", ""), ("meld", "abc"), ("meld", "nan"), ("meld", "inf"), ("hcc", "maybe"), ("age", ""),
+])
+def test_unusable_cell_on_the_path_stops_predict_and_drops_in_km(tmp_path, capsys, planted, column, cell):
+    data, tree_path, cutoff, rows = planted
+    # a row that reaches the age split: meld above the cut-off, no HCC
+    i = next(i for i, r in enumerate(rows) if float(r["meld"]) > cutoff and r["hcc"] == "no")
+    edited = edit_cells(data, str(tmp_path / "edited.csv"), {(i, column): cell})
+    capsys.readouterr()
+    pred = tmp_path / "pred.csv"
+    assert run("predict", "--tree", tree_path, "--data", edited, "--out", str(pred)) == 3
+    err = capsys.readouterr().err
+    assert f"row {i}: no usable value for split covariate {column!r}: {cell!r}" in err
+    assert "1 of 2000 rows could not be routed" in err
+    assert not pred.exists()
+
+    lines = open(data, encoding="utf-8").read().splitlines()
+    without = tmp_path / "without.csv"
+    without.write_text("\n".join(lines[:i + 1] + lines[i + 2:]) + "\n", encoding="utf-8")
+    code, err, files = km_curves(tmp_path, capsys, tree_path, edited, "edited")
+    assert (code, "dropped 1 incomplete rows" in err) == (0, True)
+    assert files == km_curves(tmp_path, capsys, tree_path, str(without), "without")[2]
+
+
+@pytest.mark.parametrize("command", ["predict", "km"])
+def test_header_without_split_covariate_exits_3(tmp_path, capsys, planted, command):
+    data, tree_path, _, _ = planted
+    rows = [line.split(",") for line in open(data, encoding="utf-8").read().splitlines()]
+    j = rows[0].index("age")
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(",".join(r[:j] + r[j + 1:]) for r in rows) + "\n", encoding="utf-8")
+    assert command_outputs(tmp_path, capsys, command, tree_path, str(edited), "out") == (3, None)
+    assert "column 'age' not in header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("defect, message", STRUCTURAL_DEFECTS)

@@ -1,6 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csv_oracle
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -15,6 +21,8 @@ from survtree import (
     load_csv,
     subset_weights,
 )
+from survtree.data import read_csv_columns, typed_column
+from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, route
 
 SCHEMA = Schema("time", "event", (ColumnSpec("meld"), ColumnSpec("sex")))
 
@@ -74,9 +82,31 @@ def test_negative_time_is_error(tmp_path):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("-1,2\n", ":2: event value '2'"),            # one line: the event is reported
+    ("-1,1\n5,2\n", ":2: negative time '-1'"),    # the first line is reported
+    ("5,1\n-1,yes\n", ":3: event value 'yes'"),
+])
+def test_first_domain_error_is_reported(tmp_path, rows, message):
+    path = write(tmp_path, "time,event\n" + rows)
+    with pytest.raises(DataError, match=message):
+        load_csv(path, Schema("time", "event"))
+
+
 def test_missing_file():
     with pytest.raises(DataError, match="cannot read"):
         load_csv("/nonexistent/nope.csv", SCHEMA)
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"1,1,caf\xe9\n", "can't decode byte 0xe9"),          # not UTF-8
+    (b"1,1," + b"a" * 200_000 + b"\n", "field larger than field limit"),
+])
+def test_unreadable_text_is_data_error(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"time,event,meld\n" + body)
+    with pytest.raises(DataError, match=f"cannot read .*{message}"):
+        load_csv(str(path), Schema("time", "event", (ColumnSpec("meld"),)))
 
 
 def test_missing_schema_column(tmp_path):
@@ -153,9 +183,9 @@ def test_response_only_load_ignores_covariate_cells(tmp_path):
 # --- subset_weights ----------------------------------------------------------
 
 
-def two_col_dataset():
+def two_col_dataset(levels=("A", "B")):
     x = Covariate("x", NUMERIC, np.array([1.0, 2.0, 3.0]))
-    g = Covariate("g", CATEGORICAL, np.array([0, 0, 1]), levels=("A", "B"))
+    g = Covariate("g", CATEGORICAL, np.array([0, 0, 1]), levels=levels)
     resp = SurvivalResponse(np.array([5.0, 6.0, 7.0]), np.array([True, True, False]))
     return Dataset((x, g), resp)
 
@@ -206,13 +236,163 @@ def test_subset_weights_partition_property(rng):
 
 
 def test_round_trip_csv(tmp_path, rng):
-    ds = two_col_dataset()
-    path = tmp_path / "rt.csv"
-    path.write_text(dataset_to_csv(ds), encoding="utf-8")
-    schema = Schema("time", "event", (ColumnSpec("x"), ColumnSpec("g")))
-    back, dropped = load_csv(str(path), schema)
-    assert dropped == 0
-    np.testing.assert_array_equal(back.covariate("x").values, ds.covariate("x").values)
-    np.testing.assert_array_equal(back.covariate("g").values, ds.covariate("g").values)
-    np.testing.assert_array_equal(back.response.time, ds.response.time)
-    np.testing.assert_array_equal(back.response.event, ds.response.event)
+    # a level holding the delimiter or a quote is quoted on the way out
+    for levels in [("A", "B"), ("a,b", 'say "b"')]:
+        ds = two_col_dataset(levels)
+        path = tmp_path / "rt.csv"
+        path.write_text(dataset_to_csv(ds), encoding="utf-8")
+        schema = Schema("time", "event", (ColumnSpec("x"), ColumnSpec("g")))
+        back, dropped = load_csv(str(path), schema)
+        assert dropped == 0
+        np.testing.assert_array_equal(back.covariate("x").values, ds.covariate("x").values)
+        np.testing.assert_array_equal(back.covariate("g").values, ds.covariate("g").values)
+        np.testing.assert_array_equal(back.response.time, ds.response.time)
+        np.testing.assert_array_equal(back.response.event, ds.response.event)
+    # the reader strips cells, so " a" would come back as "a"
+    with pytest.raises(DataError, match="padded"):
+        dataset_to_csv(two_col_dataset((" a", "a")))
+
+
+# --- differential: typed columns against the row-by-row oracle -----------------
+
+# (usable cells, rare cells: blank, unparseable, non-finite or out of domain)
+CELLS = {
+    "time": (["0", "1", "2.5", " 3 ", "7", "12", "-0", "1_0"], ["", " ", "x", "nan", "inf", "-inf", "1e400", "-1"]),
+    "event": (["0", "1", "true", "FALSE", " 1 ", "True"], ["", " ", "2", "yes"]),
+    "x": (["1", "2.5", "-3", " 4 ", "1_000", "1e-3", " 5"],
+          ["", "  ", "nan", "inf", "-inf", "1e400", "abc", "0x10", "a", "1__0"]),
+    "g": (["a", "b", "c", " a", "b "], ["", "zz", "1"]),
+    "o": (["lo", "mid", "hi", " hi"], ["", "x"]),
+    "z": (["", "q"], []),
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over time, event, x, g, o and an unused z, in any column
+    order: blank, padded, unparseable and non-finite cells, short rows,
+    blank lines, padded header names and an optional byte-order mark. Rare
+    cells appear in about half of the files, one cell in five there."""
+    columns = draw(st.permutations(list(CELLS)))
+    pools = {}
+    for c, (usable, rare) in CELLS.items():
+        pools[c] = usable * 4 + rare if draw(st.booleans()) else usable
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(pools[c])) for c in columns]
+        cut = draw(st.sampled_from([len(row)] * 4 + list(range(1, len(row)))))
+        lines.append(",".join(row[:cut]))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    header = [draw(st.sampled_from([c, f" {c}", f"{c} "])) for c in columns]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + ",".join(header) + "\n" + "\n".join(lines) + "\n"
+
+
+@st.composite
+def schemas(draw):
+    specs = {
+        "x": draw(st.sampled_from([("auto", None), ("numeric", None), ("categorical", None)])),
+        "g": draw(st.sampled_from([
+            ("auto", None), ("categorical", None), ("categorical", ("a", "b")), ("ordinal", ("b", "a", "c")),
+        ])),
+        "o": draw(st.sampled_from([("auto", None), ("ordinal", ("lo", "mid", "hi"))])),
+        "missing": ("auto", None),
+    }
+    names = draw(st.lists(st.sampled_from(["x", "g", "o"] * 3 + ["missing"]), unique=True, max_size=3))
+    return [(name, *specs[name]) for name in names]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), specs=schemas())
+def test_load_csv_matches_row_by_row_oracle(text, specs):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            expected = csv_oracle.load_csv(path, "time", "event", specs)
+        except csv_oracle.OracleError as exc:
+            with pytest.raises(DataError) as raised:
+                load_csv(path, Schema("time", "event", tuple(ColumnSpec(*s) for s in specs)))
+            assert str(raised.value) == str(exc)
+            return
+        ds, dropped = load_csv(path, Schema("time", "event", tuple(ColumnSpec(*s) for s in specs)))
+    time, event, covariates, expected_dropped = expected
+    assert dropped == expected_dropped
+    assert bits(ds.response.time) == bits(time)
+    assert ds.response.event.tolist() == event.tolist()
+    assert len(ds.covariates) == len(covariates)
+    for cov, (name, kind, values, levels, ordered) in zip(ds.covariates, covariates):
+        assert (cov.name, cov.kind, cov.levels, cov.ordered) == (name, kind, levels, ordered)
+        if kind == NUMERIC:
+            assert bits(cov.values) == bits(values)
+        else:
+            assert cov.values.tolist() == values.tolist()
+
+
+def hand_tree(x_cut, g_subset, o_cut):
+    """x <= x_cut at the root; g in g_subset on the left, then x again on
+    g's right branch; ordinal o <= o_cut on the right."""
+    info = (
+        CovariateInfo("x", NUMERIC),
+        CovariateInfo("g", CATEGORICAL, ("a", "b", "c")),
+        CovariateInfo("o", CATEGORICAL, ("lo", "mid", "hi"), ordered=True),
+    )
+    splits = {
+        1: SplitRule("x", cutoff=x_cut),
+        2: SplitRule("g", subset=g_subset),
+        3: SplitRule("o", cutoff=o_cut),
+        5: SplitRule("x", cutoff=x_cut - 2.0),
+    }
+    children = {1: (2, 3), 2: (4, 5), 3: (6, 7), 5: (8, 9)}
+    depth = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3, 9: 3}
+    nodes = {
+        nid: TreeNode(
+            id=nid, depth=depth[nid], n_effective=10.0, events=5.0, km_median=None,
+            split=splits.get(nid), children=children.get(nid),
+            stop_reason=None if nid in splits else "alpha",
+        )
+        for nid in range(1, 10)
+    }
+    return Tree(nodes=nodes, config=FitConfig(), covariate_info=info)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=csv_texts(),
+    x_cut=st.sampled_from([-3.0, 1.0, 2.5, 1000.0]),
+    g_subset=st.sampled_from([("a",), ("a", "c")]),
+    o_cut=st.sampled_from([0.0, 1.0]),
+)
+def test_route_matches_per_row_oracle(text, x_cut, g_subset, o_cut):
+    tree = hand_tree(x_cut, g_subset, o_cut)
+    names = ["x", "g", "o"]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        header, rows = csv_oracle.read_csv_table(path)
+        cells, n = read_csv_columns(path, names)
+    columns = {name: typed_column(c, tree.info(name).levels) for name, c in zip(names, cells)}
+    node_of = route(tree, columns, n).tolist()
+    assert n == len(rows)
+    for row, node in zip(rows, node_of):
+        try:
+            leaf = csv_oracle.predict_row(tree, header, row)
+        except csv_oracle.OracleError:
+            assert not tree.nodes[node].is_leaf
+        else:
+            assert node == leaf
+
+
+def test_typed_column_markers():
+    cells = ["1", " 2 ", "", "x", "nan", "inf", "1e400", "1_000"]
+    x = typed_column(cells)
+    assert x[:2].tolist() == [1.0, 2.0] and x[-1] == 1000.0
+    assert np.isnan(x[2:7]).all()
+    assert typed_column([" b", "", "z", "a"], ("a", "b")).tolist() == [1, -1, -1, 0]

@@ -89,7 +89,8 @@ def test_loaded_tree_is_the_fitted_tree(seed, n, planted, alpha, max_depth):
     assert loaded == without_tests(tree)
     fitted_leaves = [predict_node(tree, observation(ds, i)) for i in range(ds.n)]
     assert [predict_node(loaded, observation(ds, i)) for i in range(ds.n)] == fitted_leaves
-    assert route(loaded, ds).tolist() == fitted_leaves
+    columns = {c.name: c.values for c in ds.covariates}
+    assert route(loaded, columns, ds.n).tolist() == fitted_leaves
 
 
 @pytest.fixture(scope="module")
