@@ -24,14 +24,7 @@ from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
 from .partition import FitConfig, TestMethod, Tree, fit, render_text, route
-from .treedoc import (
-    document_to_dot,
-    document_to_tree,
-    dumps_canonical,
-    parse_document,
-    tree_to_document,
-    write_atomic,
-)
+from .treedoc import dumps_canonical, load_tree, tree_to_document, tree_to_dot, write_atomic
 
 _KIND_ALIASES = {"num": "numeric", "cat": "categorical", "ord": "ordinal"}
 
@@ -192,14 +185,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_document(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _split_covariates(tree: Tree) -> list[str]:
     """The covariates the tree splits on, in declared order."""
     used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
@@ -215,7 +200,7 @@ def _route_cells(tree: Tree, names: list[str], cells: list[list[str]], n: int):
 
 
 def _cmd_predict(args) -> int:
-    tree = document_to_tree(_load_document(args.tree))
+    tree, _ = load_tree(args.tree)
     names = _split_covariates(tree)
     cells, n = read_csv_columns(args.data, names)
     if not n:
@@ -235,8 +220,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    doc = _load_document(args.tree)
-    write_atomic(args.out, document_to_dot(doc))
+    tree, _ = load_tree(args.tree)
+    write_atomic(args.out, tree_to_dot(tree))
     return 0
 
 
@@ -244,11 +229,9 @@ _LEAF_FILE = re.compile(r"leaf_\d+\.csv")
 
 
 def _cmd_km(args) -> int:
-    doc = _load_document(args.tree)
-    tree = document_to_tree(doc)
+    tree, response = load_tree(args.tree)
     names = _split_covariates(tree)
-    response = [doc["config"]["time_column"], doc["config"]["event_column"]]
-    (time_cells, event_cells, *cells), n = read_csv_columns(args.data, response + names)
+    (time_cells, event_cells, *cells), n = read_csv_columns(args.data, [*response, *names])
     time, event = typed_response(args.data, time_cells, event_cells)
     node_of, reached = _route_cells(tree, names, cells, n)
     keep = reached & np.isfinite(time) & np.isfinite(event)

@@ -289,18 +289,24 @@ class SplitRule:
         wanted[[levels.index(s) for s in self.subset]] = True
         return wanted[values]
 
-    def mask(self, ds: Dataset) -> np.ndarray:
-        """`holds` on the covariate's column in `ds`."""
-        cov = ds.covariate(self.covariate)
+    def check(self, kind: str, levels: tuple[str, ...] | None, ordered: bool) -> None:
+        """DataError unless the rule fits a covariate of this kind: a cut-off
+        on a numeric value or on an ordered level index below the last level,
+        a subset of an unordered categorical's levels that leaves some level
+        on each side."""
         if self.cutoff is not None:
-            if cov.kind == CATEGORICAL and not cov.ordered:
-                raise DataError(f"numeric cut on unordered categorical {cov.name!r}")
-        elif cov.kind != CATEGORICAL:
-            raise DataError(f"subset split on numeric covariate {cov.name!r}")
+            fits = kind == NUMERIC or (ordered and self.cutoff in range(len(levels) - 1))
         else:
-            for s in self.subset:
-                if s not in cov.levels:
-                    raise DataError(f"split level {s!r} not among levels of {cov.name!r}")
+            fits = kind == CATEGORICAL and not ordered and set() < set(self.subset) < set(levels)
+        if not fits:
+            what = f"cut-off {self.cutoff!r}" if self.subset is None else f"subset {list(self.subset)!r}"
+            kind = f"ordered {kind}" if ordered else kind
+            raise DataError(f"{what} does not fit {kind} covariate {self.covariate!r}")
+
+    def mask(self, ds: Dataset) -> np.ndarray:
+        """`holds` on the covariate's column in `ds`, once `check` passes."""
+        cov = ds.covariate(self.covariate)
+        self.check(cov.kind, cov.levels, cov.ordered)
         return self.holds(cov.values, cov.levels)
 
 

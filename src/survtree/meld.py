@@ -251,7 +251,7 @@ def read_config_file(path: str) -> dict[str, str]:
                 if key not in CONFIG_KEYS:
                     raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
                 out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return out
 

@@ -6,10 +6,12 @@ floats formatted with 17 significant digits — so serialize -> parse ->
 serialize is byte-identical and equal trees produce equal files.
 
 `tree_to_document` and `document_to_tree` convert between a fitted `Tree`
-and its document. Loading rebuilds the `Tree` that `fit` returned, except
-for the per-node selection tests, which documents do not store; every
-consumer of a saved tree (`predict`, `km`, `export-dot`) works on that
-`Tree`. `predict` and `km` route whole columns with `partition.route`;
+and its document; the loaded `Tree` lacks only the per-node selection
+tests, which documents do not store. `load_tree(path)`, the one reader of
+tree files, returns it with the (time, event) column names and turns every
+file it cannot read, decode, parse or validate into a DataError; what loads
+writes back to the same bytes. `tree_to_dot` renders a `Tree`; `predict`
+and `km` route whole columns with `partition.route`, and
 `partition.predict_node` routes one observation for library callers.
 """
 
@@ -23,7 +25,7 @@ from collections import deque
 
 from . import __version__
 from .data import CATEGORICAL, NUMERIC, SplitRule
-from .errors import DataError
+from .errors import DataError, FitError
 from .partition import CovariateInfo, FitConfig, TestMethod, Tree, TreeNode, describe_rule
 
 FORMAT_VERSION = 1
@@ -148,26 +150,50 @@ def tree_to_document(
 
 
 def _number(x) -> float:
-    """A finite float from a document field (JSON also admits NaN/Infinity)."""
-    v = float(x)
-    if not math.isfinite(v):
-        raise DataError(f"non-finite number {x!r}")
-    return v
+    """A finite float from a number field. A boolean, NaN or Infinity (JSON
+    parsers admit both) and an integer past 2**53, which a float would not
+    hold exactly, are not numbers here."""
+    if type(x) is float and math.isfinite(x) or type(x) is int and abs(x) <= 2**53:
+        return float(x)
+    raise DataError(f"{x!r} is not a finite number")
 
 
 def _optional_number(x) -> float | None:
     return None if x is None else _number(x)
 
 
+def _typed(x, kind: type):
+    """`x` if its JSON type is `kind` (a boolean is not an int). A string must
+    also encode as UTF-8: JSON escapes admit a lone surrogate (\\ud800),
+    which no output file could hold."""
+    if type(x) is not kind:
+        raise DataError(f"expected {kind.__name__}, got {x!r}")
+    if kind is str:
+        x.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a lone surrogate
+    return x
+
+
+def _strings(x) -> tuple[str, ...]:
+    """A list of distinct strings, as levels and subsets are written. A
+    repeated level would route its rows by one copy and split them by the
+    other."""
+    strings = tuple(_typed(s, str) for s in _typed(x, list))
+    if len(set(strings)) != len(strings):
+        raise DataError(f"{x!r} repeats a string")
+    return strings
+
+
 def document_to_tree(doc: dict) -> Tree:
     """Rebuild the fitted `Tree` a document describes (`tests` stays None).
 
-    Every node must be reached exactly once from node 1: a cycle, a child
-    shared by two parents, an unreachable node, an unknown node kind, a
-    child list that is not two node ids, a split on an unknown covariate or
-    one that does not fit the covariate's kind (an ordinal cut-off must be
-    a level index below the last), and a missing or non-finite field are
-    all DataErrors.
+    The config must pass `FitConfig.validate`. Every node must be reached
+    exactly once from node 1: a cycle, a child shared by two parents, an
+    unreachable node, an unknown node kind or stop reason, a child list that
+    is not two node ids, a split on an unknown covariate or one that does
+    not fit it (`SplitRule.check`), a field of the wrong JSON type (a
+    boolean where a number belongs, levels on a numeric covariate) and a
+    missing or non-finite field are all DataErrors, so that what loads
+    writes back through `tree_to_document` to the same bytes.
     """
     try:
         cfg = doc["config"]
@@ -176,26 +202,30 @@ def document_to_tree(doc: dict) -> Tree:
             alpha=_number(cfg["alpha"]),
             minsplit=_number(cfg["minsplit"]),
             minbucket=_number(cfg["minbucket"]),
-            max_depth=cfg["max_depth"],
-            test=TestMethod(test["method"], test["replicates"], test["seed"]),
+            max_depth=None if cfg["max_depth"] is None else _typed(cfg["max_depth"], int),
+            test=TestMethod(test["method"], _typed(test["replicates"], int), _typed(test["seed"], int)),
         )
+        config.validate()
+        _typed(cfg["time_column"], str), _typed(cfg["event_column"], str)  # load_tree returns these
         info = tuple(
             CovariateInfo(
-                c["name"],
+                _typed(c["name"], str),
                 c["kind"],
-                tuple(c["levels"]) if c["levels"] else None,
-                bool(c["ordered"]),
+                None if c["levels"] is None else _strings(c["levels"]),
+                _typed(c["ordered"], bool),
             )
             for c in cfg["covariates"]
         )
         by_name = {ci.name: ci for ci in info}
+        if len(by_name) != len(info):
+            raise DataError("a covariate name appears twice")
         for ci in info:
-            if ci.kind not in (NUMERIC, CATEGORICAL) or (ci.kind == CATEGORICAL and not ci.levels):
-                raise DataError(f"covariate {ci.name!r} has a bad kind or no levels")
+            if ci.kind != (NUMERIC if ci.levels is None else CATEGORICAL) or ci.levels == ():
+                raise DataError(f"covariate {ci.name!r} has a bad kind or levels")
 
         entries = {}
         for entry in doc["nodes"]:
-            if entry["id"] in entries:
+            if _typed(entry["id"], int) in entries:
                 raise DataError(f"node id {entry['id']} appears twice")
             entries[entry["id"]] = entry
         if 1 not in entries:
@@ -216,6 +246,8 @@ def document_to_tree(doc: dict) -> Tree:
                 p_adjusted=_optional_number(entry["p_adjusted"]),
             )
             if entry["kind"] == "leaf":
+                if entry["stop_reason"] not in ("alpha", "minsplit", "minbucket", "max_depth"):
+                    raise DataError(f"node {nid} has unknown stop reason {entry['stop_reason']!r}")
                 nodes[nid] = TreeNode(**base, stop_reason=entry["stop_reason"])
                 continue
             if entry["kind"] != "internal":
@@ -227,15 +259,10 @@ def document_to_tree(doc: dict) -> Tree:
             if "cutoff" in split:
                 rule = SplitRule(ci.name, cutoff=_number(split["cutoff"]))
             else:
-                rule = SplitRule(ci.name, subset=tuple(split["subset"]))
-            if (
-                (rule.cutoff is not None) != (ci.kind == NUMERIC or ci.ordered)
-                or (ci.ordered and rule.cutoff not in range(len(ci.levels) - 1))
-                or (rule.subset is not None and not set(rule.subset) <= set(ci.levels))
-            ):
-                raise DataError(f"node {nid}: split does not fit covariate {ci.name!r}")
+                rule = SplitRule(ci.name, subset=_strings(split["subset"]))
+            rule.check(ci.kind, ci.levels, ci.ordered)
             kids = entry["children"]
-            if not isinstance(kids, list) or len(kids) != 2 or any(k not in entries for k in kids):
+            if type(kids) is not list or len(kids) != 2 or any(_typed(k, int) not in entries for k in kids):
                 raise DataError(f"node {nid} has bad children {kids!r}")
             for kid in kids:
                 if kid in reached:
@@ -243,37 +270,42 @@ def document_to_tree(doc: dict) -> Tree:
                 reached.add(kid)
             nodes[nid] = TreeNode(**base, split=rule, children=tuple(kids))
             queue.extend((kid, depth + 1) for kid in kids)
-        unreachable = sorted(set(entries) - reached, key=str)
+        unreachable = sorted(set(entries) - reached)
         if unreachable:
             raise DataError(f"nodes {unreachable} are not reachable from node 1")
-    except DataError as exc:
+    except (DataError, FitError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed tree document: bad or missing field {exc}") from exc
     return Tree(nodes=nodes, config=config, covariate_info=info)
 
 
-def parse_document(text: str) -> dict:
-    """Parse and validate a tree document; raises DataError when malformed."""
+def load_tree(path: str) -> tuple[Tree, tuple[str, str]]:
+    """The `Tree` a tree file holds and its (time, event) column names. A file
+    that cannot be read, is not UTF-8, is not JSON (nesting too deep to parse
+    included) or is not a valid document is a DataError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON, or an int too long to parse
         raise DataError(f"malformed tree document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DataError("malformed tree document: bad or missing format_version")
-    document_to_tree(doc)
-    return doc
+    tree = document_to_tree(doc)
+    return tree, (doc["config"]["time_column"], doc["config"]["event_column"])
 
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def document_to_dot(doc: dict) -> str:
+def tree_to_dot(tree: Tree) -> str:
     """DOT digraph: internal nodes show the split variable and p-value, edges
     the split condition, leaves their size, events and KM median. Nodes are
-    emitted in id order, so equal documents give identical bytes."""
-    tree = document_to_tree(doc)
+    emitted in id order, so equal trees give identical bytes."""
     nodes = [tree.nodes[nid] for nid in sorted(tree.nodes)]
     lines = [
         "digraph survival_tree {",
@@ -300,3 +332,8 @@ def document_to_dot(doc: dict) -> str:
             lines.append(f'  n{node.id} -> n{kid} [label="{_dot_escape(lab)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def document_to_dot(doc: dict) -> str:
+    """`tree_to_dot` of the tree a document describes."""
+    return tree_to_dot(document_to_tree(doc))

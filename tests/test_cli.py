@@ -1,13 +1,17 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from survtree import DataError
 from survtree.cli import main
-from survtree.treedoc import dumps_canonical, parse_document
-from test_treedoc import STRUCTURAL_DEFECTS
+from survtree.treedoc import dumps_canonical, load_tree, tree_to_document
+from test_treedoc import STRUCTURAL_DEFECTS, VALUE_DEFECTS
 
 COVARIATES = "sex,age,blood_type,bmi,etiology,hcc,meld"
 
@@ -63,6 +67,15 @@ def test_simulate_config_file_with_flag_override(tmp_path):
         assert len(fh.read().strip().splitlines()) == 13  # flag wins over file
 
 
+def test_simulate_config_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"n = 5\nseed = \xff\n")
+    out = tmp_path / "c.csv"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_flag_exits_2(tmp_path):
     assert run("simulate", "--n", "ten", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -91,7 +104,7 @@ def test_fit_bad_alpha_exits_4(tmp_path):
 def test_fit_recovers_meld_root(tmp_path, capsys):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data)
-    doc = parse_document(open(tree_path, encoding="utf-8").read())
+    doc = json.load(open(tree_path, encoding="utf-8"))
     root = next(n for n in doc["nodes"] if n["id"] == 1)
     assert root["kind"] == "internal"
     assert root["covariate"] == "meld"
@@ -113,7 +126,7 @@ def test_tree_document_round_trip_bytes(tmp_path):
     tree_path = fit_tree(tmp_path, data)
     text = open(tree_path, encoding="utf-8").read()
     assert dumps_canonical(json.loads(text)) + "\n" == text
-    doc = parse_document(text)
+    doc = json.loads(text)
     assert doc["provenance"]["tool_version"]
     assert doc["provenance"]["input_sha256"]
 
@@ -479,6 +492,183 @@ def test_malformed_tree_structure_exits_3(tmp_path, capsys, command, defect, mes
     assert run(command, "--tree", str(bad), *argv) == 3
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def depth_one(tmp_path_factory):
+    """The seed-1 cohort and its max-depth-1 tree: a meld split, leaves 2 and 3."""
+    directory = tmp_path_factory.mktemp("depth_one")
+    data = simulate(directory)
+    return data, fit_tree(directory, data, "t.json", "--max-depth", "1")
+
+
+def command_argv(command, data, out):
+    return {
+        "predict": ["--data", data, "--out", out],
+        "km": ["--data", data, "--out-dir", out],
+        "export-dot": ["--out", out],
+    }[command]
+
+
+def _edit_document(defect):
+    def edit(raw):
+        doc = json.loads(raw)
+        defect(doc)
+        return json.dumps(doc).encode()
+    edit.__name__ = defect.__name__
+    return edit
+
+
+def _deep_nesting(raw):
+    return b"[" * 200_000
+
+
+def _not_utf8(raw):
+    return raw.replace(b'"meld"', b'"m\xffld"', 1)
+
+
+TREE_FILE_DEFECTS = [(_edit_document(defect), message) for defect, message in VALUE_DEFECTS] + [
+    (_deep_nesting, "maximum recursion depth"),
+    (_not_utf8, "can't decode byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("defect, message", TREE_FILE_DEFECTS)
+@pytest.mark.parametrize("command", ["predict", "km", "export-dot"])
+def test_malformed_tree_file_exits_3(tmp_path, capsys, depth_one, command, defect, message):
+    data, tree_path = depth_one
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(defect(open(tree_path, "rb").read()))
+    out = str(tmp_path / "out")
+    assert run(command, "--tree", str(bad), *command_argv(command, data, out)) == 3
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A tree with numeric, subset and ordinal splits, 300 rows of its cohort
+    to route, and a directory for mutated tree files."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    data = simulate(directory, "cohort.csv", "--n", "3000", "--seed", "3", "--hcc-effect", "3")
+    tree_path = str(directory / "tree.json")
+    assert run("fit", "--data", data, "--time", "time", "--event", "event",
+               "--covariates", "sex,blood_type:ord,etiology,hcc,meld", "--alpha", "0.5",
+               "--out", tree_path) == 0
+    raw = open(tree_path, "rb").read()
+    splits = [n["split"] for n in json.loads(raw)["nodes"] if n["kind"] == "internal"]
+    # blood_type:ord's cut-off is a level index; meld's are near 16
+    assert any("subset" in s for s in splits) and any(s.get("cutoff") == 0.0 for s in splits)
+    rows = str(directory / "rows.csv")
+    with open(data, encoding="utf-8") as fh, open(rows, "w", encoding="utf-8") as out:
+        out.writelines(fh.readlines()[:301])
+    return raw, rows, directory
+
+
+def _paths(obj, path=()):
+    """Every dict key and list index path in a JSON value, outermost first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _edited_file(data, raw):
+    """The fitted file with one field dropped or given another JSON value."""
+    doc = json.loads(raw)
+    paths = list(_paths(doc))
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        values = [_at(doc, p) for p in paths]
+        strings = sorted({v for v in values if isinstance(v, str)} | {"\ud800"})
+        parent[key] = data.draw(_values_like(parent[key], strings))
+    return json.dumps(doc).encode()
+
+
+def _broken_file(data, raw):
+    """Random bytes, the fitted file with a byte that is not UTF-8 inserted,
+    or the fitted document, or one of its fields, nested deep."""
+    how = data.draw(st.sampled_from(["bytes", "not-utf8", "nest"]))
+    if how == "bytes":
+        return data.draw(st.binary(max_size=64))
+    if how == "not-utf8":
+        i = data.draw(st.integers(0, len(raw)))
+        return raw[:i] + data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])) + raw[i:]
+    doc = json.loads(raw)
+    path = data.draw(st.sampled_from([()] + list(_paths(doc))))
+    depth = data.draw(st.sampled_from([3, 500, 200_000]))
+    nested = b"[" * depth + b"]" * depth
+    if not path:
+        return nested
+    _at(doc, path[:-1])[path[-1]] = "\x00nest"
+    return json.dumps(doc).encode().replace(b'"\\u0000nest"', nested)
+
+
+def _values_like(value, strings):
+    """Any JSON value, or half the time one of `value`'s own JSON type; strings
+    are mostly the document's own, so that edits often still load."""
+    text = st.sampled_from(strings) | st.text(max_size=6)
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | text
+    anything = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+    if isinstance(value, bool):
+        return st.booleans() | anything
+    if isinstance(value, (int, float)):
+        return st.integers() | st.floats() | anything
+    return text | anything if isinstance(value, str) else anything
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def check_tree_file(fuzz_base, content):
+    """predict, km and export-dot exit 0 or 3 on a tree file, exit 3 leaves no
+    output, and a file that loads writes back to the same bytes."""
+    _, rows, directory = fuzz_base
+    tree_file = directory / "mutated.json"
+    tree_file.write_bytes(content)
+    try:
+        tree, response = load_tree(str(tree_file))
+    except DataError:
+        tree = None
+    for command in ("predict", "km", "export-dot"):
+        out = str(directory / "out")
+        code = run(command, "--tree", str(tree_file), *command_argv(command, rows, out))
+        if tree is None:
+            assert code == 3
+        else:  # predict stops on an unroutable row, km on a response column the CSV lacks
+            assert code == 0 if command == "export-dot" else code in (0, 3)
+        if code == 3:
+            assert not os.path.exists(out)
+        elif os.path.isdir(out):
+            shutil.rmtree(out)
+        else:
+            os.remove(out)
+    if tree is not None:
+        doc, again = json.loads(content), tree_to_document(tree, *response)
+        for section in ("config", "nodes"):
+            assert dumps_canonical(again[section]) == dumps_canonical(doc[section])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_edited_tree_file_exits_0_or_3(fuzz_base, data):
+    check_tree_file(fuzz_base, _edited_file(data, fuzz_base[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_broken_tree_file_exits_0_or_3(fuzz_base, data):
+    check_tree_file(fuzz_base, _broken_file(data, fuzz_base[0]))
 
 
 def test_unknown_subcommand_exits_2():

@@ -219,6 +219,39 @@ def test_subset_weights_unknown_covariate():
         subset_weights(ds, np.ones(3), SplitRule("nope", cutoff=1.0))
 
 
+def with_ordinal(ds):
+    """`ds` plus an ordered categorical o with levels lo < mid < hi."""
+    o = Covariate("o", CATEGORICAL, np.array([0, 1, 2]), levels=("lo", "mid", "hi"), ordered=True)
+    return Dataset(ds.covariates + (o,), ds.response)
+
+
+def test_subset_weights_ordinal_cut():
+    left, right = subset_weights(with_ordinal(two_col_dataset()), np.ones(3), SplitRule("o", cutoff=1.0))
+    np.testing.assert_array_equal(left, [1, 1, 0])
+    np.testing.assert_array_equal(right, [0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        SplitRule("g", cutoff=0.0),
+        SplitRule("x", subset=("A",)),
+        SplitRule("g", subset=("A", "C")),
+        SplitRule("g", subset=()),
+        SplitRule("g", subset=("A", "B")),
+        SplitRule("o", subset=("lo",)),
+        SplitRule("o", cutoff=2.0),
+    ],
+    ids=[
+        "cut-on-unordered", "subset-on-numeric", "unknown-level", "empty-subset", "every-level",
+        "subset-on-ordered", "cut-at-last-level",
+    ],
+)
+def test_subset_weights_rejects_a_rule_that_does_not_fit(rule):
+    with pytest.raises(DataError, match=f"does not fit .*covariate '{rule.covariate}'"):
+        subset_weights(with_ordinal(two_col_dataset()), np.ones(3), rule)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_subset_weights_non_finite_rejected(bad):
     with pytest.raises(DataError, match="finite"):

@@ -20,7 +20,14 @@ from survtree import (
     predict_node,
 )
 from survtree.partition import route
-from survtree.treedoc import document_to_tree, dumps_canonical, tree_to_document
+from survtree.treedoc import (
+    document_to_dot,
+    document_to_tree,
+    dumps_canonical,
+    load_tree,
+    tree_to_document,
+    tree_to_dot,
+)
 
 STAGES = ("i", "ii", "iii", "iv")
 
@@ -158,9 +165,106 @@ def _ordinal_cutoff_past_last_level(doc):
     _node(doc, 1).update(covariate="stage", split={"cutoff": float(len(STAGES) - 1)})
 
 
+def _covariate(doc, name):
+    return next(c for c in doc["config"]["covariates"] if c["name"] == name)
+
+
+def _categorical(doc):
+    return next(c for c in doc["config"]["covariates"] if c["kind"] == "categorical")
+
+
+def _alpha_out_of_range(doc):
+    doc["config"]["alpha"] = 7
+
+
+def _max_depth_text(doc):
+    doc["config"]["max_depth"] = "deep"
+
+
+def _unknown_test_method(doc):
+    doc["config"]["test"]["method"] = "bogus"
+
+
+def _unknown_stop_reason(doc):
+    _node(doc, 2)["stop_reason"] = 42
+
+
+def _boolean_number(doc):
+    _node(doc, 2)["n"] = True
+
+
+def _levels_as_text(doc):
+    _categorical(doc)["levels"] = "abc"
+
+
+# (defect, what the error names): config values a fit would refuse, and
+# fields of the wrong JSON type, which would not write back to the same
+# bytes; node 2 must be a leaf
+VALUE_DEFECTS = [
+    (_alpha_out_of_range, "alpha must be in (0, 1)"),
+    (_max_depth_text, "expected int, got 'deep'"),
+    (_unknown_test_method, "unknown test method 'bogus'"),
+    (_unknown_stop_reason, "unknown stop reason 42"),
+    (_boolean_number, "True is not a finite number"),
+    (_levels_as_text, "expected list, got 'abc'"),
+]
+
+
+def _boolean_child(doc):
+    _node(doc, 1)["children"] = [2, True]
+
+
+def _numeric_text(doc):
+    _node(doc, 3)["events"] = "3"
+
+
+def _integer_past_float(doc):
+    _node(doc, 3)["n"] = 2**53 + 1
+
+
+def _ordered_not_bool(doc):
+    _covariate(doc, "stage")["ordered"] = 1
+
+
+def _levels_on_numeric(doc):
+    _covariate(doc, "x")["levels"] = ["a", "b"]
+
+
+def _levels_not_strings(doc):
+    _covariate(doc, "g")["levels"] = ["a", 2, "c"]
+
+
+def _repeated_level(doc):
+    _covariate(doc, "g")["levels"] = ["a", "b", "c", "a"]
+
+
+def _lone_surrogate_level(doc):
+    _covariate(doc, "g")["levels"] = ["a", "b", "\ud800"]
+
+
+def _repeated_covariate_name(doc):
+    _covariate(doc, "g")["name"] = "stage"
+
+
+def _response_name_not_string(doc):
+    doc["config"]["time_column"] = 5
+
+
+def _subset_as_text(doc):
+    _node(doc, 1).update(covariate="g", split={"subset": "a"})
+
+
+def _empty_subset(doc):
+    _node(doc, 1).update(covariate="g", split={"subset": []})
+
+
+def _subset_on_ordered(doc):
+    _node(doc, 1).update(covariate="stage", split={"subset": ["i"]})
+
+
 @pytest.mark.parametrize(
     "defect",
-    [defect for defect, _ in STRUCTURAL_DEFECTS]
+    [defect for defect, _ in STRUCTURAL_DEFECTS + VALUE_DEFECTS]
     + [
         _unknown_kind,
         _three_children,
@@ -169,6 +273,19 @@ def _ordinal_cutoff_past_last_level(doc):
         _subset_on_numeric,
         _nan_cutoff,
         _ordinal_cutoff_past_last_level,
+        _boolean_child,
+        _numeric_text,
+        _integer_past_float,
+        _ordered_not_bool,
+        _levels_on_numeric,
+        _levels_not_strings,
+        _repeated_level,
+        _lone_surrogate_level,
+        _repeated_covariate_name,
+        _response_name_not_string,
+        _subset_as_text,
+        _empty_subset,
+        _subset_on_ordered,
     ],
 )
 def test_malformed_documents_rejected(two_level_doc, defect):
@@ -177,3 +294,39 @@ def test_malformed_documents_rejected(two_level_doc, defect):
     defect(doc)
     with pytest.raises(DataError, match="malformed tree document"):
         document_to_tree(doc)
+
+
+@pytest.mark.parametrize("planted", ["x", "g", "stage"])
+def test_document_to_dot_renders_the_fitted_tree(planted):
+    # the benchmark renders DOT from a document; that must match the tree's own
+    tree = fit(planted_dataset(11, 200, planted), FitConfig(minsplit=20, minbucket=7))
+    assert document_to_dot(tree_to_document(tree, "time", "event")) == tree_to_dot(tree)
+
+
+def test_load_tree_returns_the_tree_and_response_names(tmp_path):
+    tree = fit(planted_dataset(11, 200, "stage"), FitConfig(minsplit=20, minbucket=7))
+    path = tmp_path / "tree.json"
+    path.write_text(dumps_canonical(tree_to_document(tree, "days", "died")), encoding="utf-8")
+    assert load_tree(str(path)) == (without_tests(tree), ("days", "died"))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        (b'{"format_version": 1, "name": "\xff"}', "can't decode byte 0xff"),
+        (b"[" * 200_000, "maximum recursion depth"),
+        (b'{"format_version": 1,', "Expecting property name"),
+        (b"1" * 5000, "integer string conversion"),
+        (b"[1]", "format_version"),
+        (b'{"format_version": true}', "format_version"),
+        (b'{"format_version": 1.0}', "format_version"),
+    ],
+    ids=["missing", "not-utf8", "deep-nesting", "not-json", "long-int", "not-an-object", "bool-version", "float-version"],
+)
+def test_unreadable_tree_file_is_data_error(tmp_path, content, message):
+    path = tmp_path / "tree.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=message):
+        load_tree(str(path))
