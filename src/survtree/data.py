@@ -9,8 +9,11 @@ pairs and never copies rows.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +29,41 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CovariateInfo:
+    """A covariate's metadata, which a fitted tree keeps for routing. Numeric:
+    no levels, not ordered. Categorical: at least two distinct levels. Names
+    and levels are non-blank and unpadded, as the CSV reader reads them."""
+
+    name: str
+    kind: str
+    levels: tuple[str, ...] | None = None
+    ordered: bool = False
+
+    def __post_init__(self):
+        if self.kind not in (NUMERIC, CATEGORICAL):
+            raise DataError(f"covariate {self.name!r}: unknown kind {self.kind!r}")
+        if (self.kind == NUMERIC) != (self.levels is None):
+            need = "takes no" if self.kind == NUMERIC else "needs"
+            raise DataError(f"covariate {self.name!r}: a {self.kind} covariate {need} levels")
+        if self.ordered and self.kind == NUMERIC:
+            raise DataError(f"covariate {self.name!r}: only a categorical covariate can be ordered")
+        for s in (self.name, *(self.levels or ())):
+            if not isinstance(s, str) or not s or s != s.strip():
+                raise DataError(f"covariate {self.name!r}: name or level {s!r} is blank or padded")
+        if self.levels is not None:
+            if len(set(self.levels)) != len(self.levels):
+                raise DataError(f"covariate {self.name!r}: levels {list(self.levels)!r} repeat a level")
+            if len(self.levels) < 2:
+                raise DataError(f"covariate {self.name!r}: fewer than 2 levels observed/declared")
+
+
+@dataclass(frozen=True)
 class Covariate:
     """One typed column. Numeric columns hold finite floats; categorical
     columns hold level indices into `levels` (declared order is significant:
     it fixes the one-hot column order and the canonical split subsets).
-    Ordered categoricals are split like numerics on the level index."""
+    Ordered categoricals are split like numerics on the level index. The
+    metadata must pass `CovariateInfo`."""
 
     name: str
     kind: str
@@ -39,19 +72,20 @@ class Covariate:
     ordered: bool = False
 
     def __post_init__(self):
-        if self.kind not in (NUMERIC, CATEGORICAL):
-            raise DataError(f"unknown covariate kind {self.kind!r}")
+        self.info  # CovariateInfo validates the metadata
         if self.kind == NUMERIC:
             vals = np.asarray(self.values, dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise DataError(f"covariate {self.name!r} has non-finite values")
         else:
-            if not self.levels or len(self.levels) < 2:
-                raise DataError(f"covariate {self.name!r} needs >= 2 declared levels")
             vals = np.asarray(self.values, dtype=np.int64)
             if vals.size and (vals.min() < 0 or vals.max() >= len(self.levels)):
                 raise DataError(f"covariate {self.name!r} has level index out of range")
         object.__setattr__(self, "values", _readonly(vals))
+
+    @property
+    def info(self) -> CovariateInfo:
+        return CovariateInfo(self.name, self.kind, self.levels, self.ordered)
 
     @property
     def n_levels(self) -> int:
@@ -117,7 +151,8 @@ class ColumnSpec:
 
     kind: "auto" infers numeric iff every non-missing cell parses as a finite
     float, categorical otherwise; "numeric", "categorical" and "ordinal" force
-    the type. Levels default to the sorted set of distinct observed strings.
+    the type. Levels default to the sorted set of distinct observed strings;
+    declared ones must pass `CovariateInfo` as a categorical's.
     """
 
     name: str
@@ -127,6 +162,9 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in ("auto", NUMERIC, CATEGORICAL, "ordinal"):
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        if self.levels is not None:
+            kind = NUMERIC if self.kind == NUMERIC else CATEGORICAL
+            CovariateInfo(self.name, kind, self.levels, self.kind == "ordinal")
 
 
 @dataclass(frozen=True)
@@ -145,13 +183,6 @@ class Schema:
 
 
 _EVENT_FLAGS = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0, "": np.nan}
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return np.nan
 
 
 def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]:
@@ -187,19 +218,39 @@ def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]
     return columns, n
 
 
+def typed_value(value, levels: tuple[str, ...] | None = None) -> float | int:
+    """A CSV cell, or a value in its place, typed: without `levels`, a finite
+    `float()` of it or NaN; with them, the index of its stripped text among
+    them or -1."""
+    if levels is None:
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            return math.nan
+        return x if math.isfinite(x) else math.nan
+    try:
+        return levels.index(str(value).strip())
+    except ValueError:
+        return -1
+
+
+def usable(x, levels: tuple[str, ...] | None):
+    """Whether a typed value, or each of an array of them, can be routed and
+    kept: a level index (not -1) with `levels`, a number (not NaN) without."""
+    return x >= 0 if levels is not None else x == x
+
+
 def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.ndarray:
-    """One typed value per cell. Without `levels`: floats, NaN where a cell is
-    blank, unparseable or non-finite. With `levels`: indices into them, -1
-    where the stripped cell is blank or not a level."""
+    """`typed_value` of each cell."""
     if levels is None:
         try:
             x = np.array(cells, dtype=float)  # numpy parses each cell as float() does
         except ValueError:
-            x = np.array([_float_or_nan(c) for c in cells], dtype=float)
+            return np.array([typed_value(c) for c in cells], dtype=float)
         x[~np.isfinite(x)] = np.nan
         return x
-    index = {s: i for i, s in enumerate(levels) if s}
-    return np.array([index.get(c.strip(), -1) for c in cells], dtype=np.int64)
+    index = {c: typed_value(c, levels) for c in set(cells)}
+    return np.array([index[c] for c in cells], dtype=np.int64)
 
 
 def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -245,21 +296,19 @@ def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
                 kind = CATEGORICAL
         levels = None
         if kind != NUMERIC:
-            # level-count validation happens after dropping: an all-missing
+            # observed levels are validated after dropping: an all-missing
             # column should surface as "zero rows remain", not as bad levels
             levels = spec.levels
             if levels is None:
                 levels = tuple(sorted({c.strip() for c in cells} - {""}))
         values = typed_column(cells, levels)
-        keep &= ~np.isnan(values) if levels is None else values >= 0
+        keep &= usable(values, levels)
         typed.append((spec.name, kind, values, levels))
 
     if not keep.any():
         raise DataError(f"{path}: zero rows remain after dropping incomplete records")
     covariates = []
     for name, kind, values, levels in typed:
-        if levels is not None and len(levels) < 2:
-            raise DataError(f"covariate {name!r}: fewer than 2 levels observed/declared")
         stored = NUMERIC if levels is None else CATEGORICAL
         covariates.append(Covariate(name, stored, values[keep], levels, ordered=kind == "ordinal"))
     response = SurvivalResponse(time[keep], event[keep] == 1.0)
@@ -280,34 +329,29 @@ class SplitRule:
         if (self.cutoff is None) == (self.subset is None):
             raise DataError("split rule needs exactly one of cutoff/subset")
 
-    def holds(self, values: np.ndarray, levels: tuple[str, ...] | None) -> np.ndarray:
-        """Boolean vector: True where the condition holds (left child), on a
-        column of usable floats or of indices into the covariate's `levels`."""
+    def holds(self, values, levels: tuple[str, ...] | None):
+        """True where the condition holds (left child), on one usable typed
+        value (`typed_value`) or on an array of them: floats, or indices into
+        the covariate's `levels`."""
         if self.cutoff is not None:
             return values <= self.cutoff
-        wanted = np.zeros(len(levels), dtype=bool)
-        wanted[[levels.index(s) for s in self.subset]] = True
-        return wanted[values]
+        return functools.reduce(operator.or_, [values == levels.index(s) for s in self.subset])
 
-    def check(self, kind: str, levels: tuple[str, ...] | None, ordered: bool) -> None:
-        """DataError unless the rule fits a covariate of this kind: a cut-off
-        on a numeric value or on an ordered level index below the last level,
-        a subset of an unordered categorical's levels that leaves some level
-        on each side."""
+    def check(self, info: CovariateInfo) -> None:
+        """DataError unless the rule fits the covariate: a cut-off on a
+        numeric value or on an ordered level index below the last level, a
+        subset naming each of some, not all, of an unordered categorical's
+        levels once."""
         if self.cutoff is not None:
-            fits = kind == NUMERIC or (ordered and self.cutoff in range(len(levels) - 1))
+            fits = info.kind == NUMERIC or (info.ordered and self.cutoff in range(len(info.levels) - 1))
         else:
-            fits = kind == CATEGORICAL and not ordered and set() < set(self.subset) < set(levels)
+            subset = set(self.subset)
+            fits = info.kind == CATEGORICAL and not info.ordered and len(subset) == len(self.subset)
+            fits = fits and set() < subset < set(info.levels)
         if not fits:
             what = f"cut-off {self.cutoff!r}" if self.subset is None else f"subset {list(self.subset)!r}"
-            kind = f"ordered {kind}" if ordered else kind
+            kind = f"ordered {info.kind}" if info.ordered else info.kind
             raise DataError(f"{what} does not fit {kind} covariate {self.covariate!r}")
-
-    def mask(self, ds: Dataset) -> np.ndarray:
-        """`holds` on the covariate's column in `ds`, once `check` passes."""
-        cov = ds.covariate(self.covariate)
-        self.check(cov.kind, cov.levels, cov.ordered)
-        return self.holds(cov.values, cov.levels)
 
 
 def subset_weights(
@@ -320,21 +364,17 @@ def subset_weights(
         raise DataError(f"weights have shape {w.shape}, expected ({ds.n},)")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DataError("case weights must be finite and non-negative")
-    m = rule.mask(ds)
-    left = np.where(m, w, 0.0)
+    cov = ds.covariate(rule.covariate)
+    rule.check(cov.info)
+    left = np.where(rule.holds(cov.values, cov.levels), w, 0.0)
     return left, w - left
 
 
 def dataset_to_csv(ds: Dataset) -> str:
     """Render a Dataset in the same CSV dialect load_csv reads (covariate
     columns in declared order, then time,event). Floats use repr and cells
-    are quoted only where needed, so a load_csv round trip is lossless. A
-    covariate name or level that is empty or has surrounding whitespace is a
-    DataError, because load_csv would not read it back unchanged."""
-    for c in ds.covariates:
-        for s in (c.name, *(c.levels or ())):
-            if not s or s != s.strip():
-                raise DataError(f"covariate {c.name!r}: name or level {s!r} is blank or padded")
+    are quoted only where needed, so a load_csv round trip is lossless:
+    `CovariateInfo` keeps names and levels to what load_csv reads back."""
     columns = [
         [repr(v) if c.kind == NUMERIC else c.levels[v] for v in c.values.tolist()] for c in ds.covariates
     ]

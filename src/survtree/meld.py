@@ -22,6 +22,7 @@ from lognormal bilirubin/INR/creatinine through the score formula itself.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,10 @@ class SimConfig:
     labs_mode: bool = False
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not all(math.isfinite(x) for x in _floats(value)):
+                raise DataError(f"{f.name} must be finite, got {value!r}")
         if self.n < 2:
             raise DataError(f"cohort size must be >= 2, got {self.n}")
         if self.hazard_ratio <= 0 or self.base_hazard <= 0:
@@ -122,6 +127,13 @@ class SimConfig:
             raise DataError("age effect ratio must be positive")
         if self.hcc_effect_ratio is not None and self.hcc_effect_ratio <= 0:
             raise DataError("hcc effect ratio must be positive")
+
+
+def _floats(value) -> list[float]:
+    """The floats a config value holds, inside tuples too."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
 
 
 def _draw_levels(rng: np.random.Generator, probs: tuple[tuple[str, float], ...], n: int):
@@ -234,6 +246,7 @@ CONFIG_KEYS = {
     "hcc_effect_ratio": float,
     "labs_mode": bool,
 }
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -265,8 +278,8 @@ def simconfig_from_strings(raw: dict[str, str]) -> SimConfig:
             raise DataError(f"unknown config key {key!r}")
         caster = CONFIG_KEYS[key]
         try:
-            parsed = value.strip().lower() in ("1", "true", "yes") if caster is bool else caster(value)
-        except ValueError as exc:
+            parsed = _SWITCH[value.strip().lower()] if caster is bool else caster(value)
+        except (KeyError, ValueError) as exc:
             raise DataError(f"config key {key!r}: bad value {value!r}") from exc
         if key == "age_effect_threshold":
             age_thr = parsed

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Covariate, Dataset, SplitRule, subset_weights
+from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, subset_weights, typed_value, usable
 from .errors import DataError, FitError
 from .influence import encode_covariate, logrank_scores
 from .km import km_estimate
@@ -77,16 +77,6 @@ class FitConfig:
         if self.max_depth is not None and self.max_depth < 0:
             raise FitError(f"max_depth must be >= 0, got {self.max_depth}")
         self.test.validate()
-
-
-@dataclass(frozen=True)
-class CovariateInfo:
-    """Covariate metadata a fitted tree keeps for routing new observations."""
-
-    name: str
-    kind: str
-    levels: tuple[str, ...] | None = None
-    ordered: bool = False
 
 
 @dataclass(frozen=True)
@@ -140,13 +130,6 @@ class Tree:
         raise DataError(f"tree uses unknown covariate {name!r}")
 
 
-def _node_moments(w: np.ndarray, a: np.ndarray) -> tuple[float, float, float]:
-    wsum = float(w.sum())
-    e_hat = float(w @ a) / wsum
-    v_hat = float(w @ ((a - e_hat) ** 2)) / wsum
-    return wsum, e_hat, v_hat
-
-
 def weighted_midranks(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Midranks of x over the weight-expanded multiset: for observation i,
     (weight below x_i) + (weight at x_i + 1) / 2. Zero-weight rows get rank 0
@@ -169,11 +152,6 @@ def weighted_midranks(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     ranks_sorted = w_below[block] + (w_at[block] + 1.0) / 2.0
     out[active[order]] = ranks_sorted
     return out
-
-
-def _tie_tol(top: float) -> float:
-    """Relative slack under which candidate split statistics count as tied."""
-    return 1e-12 * max(1.0, abs(top))
 
 
 def _indicator_stats(
@@ -213,10 +191,12 @@ def best_split(
     active = w > 0
     w_a = w[active]
     a_a = scores[active]
-    wsum, e_hat, v_hat = _node_moments(w_a, a_a)
-    minbucket = cfg.minbucket
+    wsum = float(w_a.sum())
+    e_hat = float(w_a @ a_a) / wsum
+    v_hat = float(w_a @ ((a_a - e_hat) ** 2)) / wsum
 
-    if cov.kind == NUMERIC or cov.ordered:
+    numeric = cov.kind == NUMERIC or cov.ordered
+    if numeric:
         x_a = np.asarray(cov.values, dtype=float)[active]
         order = np.argsort(x_a, kind="stable")
         xs, ws, sc = x_a[order], w_a[order], a_a[order]
@@ -225,32 +205,26 @@ def best_split(
             return None
         w_left = np.cumsum(ws)[boundary]
         T = np.cumsum(ws * sc)[boundary]
-        stat = _indicator_stats(T, w_left, wsum, e_hat, v_hat)
-        feasible = (w_left >= minbucket) & (wsum - w_left >= minbucket)
-        if not np.any(feasible):
-            return None
-        stat = np.where(feasible, stat, -np.inf)
-        best = int(np.flatnonzero(stat >= stat.max() - _tie_tol(stat.max()))[0])
-        return SplitRule(cov.name, cutoff=float(xs[boundary[best]]))
-
-    K = cov.n_levels
-    vals = cov.values[active]
-    w_level = np.bincount(vals, weights=w_a, minlength=K)
-    s_level = np.bincount(vals, weights=w_a * a_a, minlength=K)
-    candidates = []  # (stat, enumeration order, members)
-    for mask in range(2 ** (K - 1) - 1):  # level 0 always in; full set excluded
-        members = [0] + [k for k in range(1, K) if mask & (1 << (k - 1))]
-        w_left = float(w_level[members].sum())
-        if w_left < minbucket or wsum - w_left < minbucket:
-            continue
-        T = np.array([s_level[members].sum()])
-        stat = float(_indicator_stats(T, np.array([w_left]), wsum, e_hat, v_hat)[0])
-        candidates.append((stat, mask, members))
-    if not candidates:
+    else:
+        K = cov.n_levels
+        vals = cov.values[active]
+        w_level = np.bincount(vals, weights=w_a, minlength=K)
+        s_level = np.bincount(vals, weights=w_a * a_a, minlength=K)
+        subsets = [  # level 0 always in; full set excluded
+            [0] + [k for k in range(1, K) if mask & (1 << (k - 1))] for mask in range(2 ** (K - 1) - 1)
+        ]
+        w_left = np.array([w_level[members].sum() for members in subsets])
+        T = np.array([s_level[members].sum() for members in subsets])
+    stat = _indicator_stats(T, w_left, wsum, e_hat, v_hat)
+    feasible = (w_left >= cfg.minbucket) & (wsum - w_left >= cfg.minbucket)
+    if not np.any(feasible):
         return None
-    top = max(stat for stat, _, _ in candidates)
-    stat, _, members = next(c for c in candidates if c[0] >= top - _tie_tol(top))
-    return SplitRule(cov.name, subset=tuple(cov.levels[k] for k in members))
+    stat = np.where(feasible, stat, -np.inf)
+    top = stat.max()
+    best = int(np.flatnonzero(stat >= top - 1e-12 * max(1.0, abs(top)))[0])
+    if numeric:
+        return SplitRule(cov.name, cutoff=float(xs[boundary[best]]))
+    return SplitRule(cov.name, subset=tuple(cov.levels[k] for k in subsets[best]))
 
 
 def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
@@ -362,46 +336,23 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         queue.append((children[0], w_left, depth + 1))
         queue.append((children[1], w_right, depth + 1))
 
-    info = tuple(
-        CovariateInfo(c.name, c.kind, c.levels, c.ordered) for c in ds.covariates
-    )
-    return Tree(nodes=nodes, config=cfg, covariate_info=info)
-
-
-def _route(value, info: CovariateInfo, rule: SplitRule) -> bool:
-    """True if the observation goes left at this rule."""
-    if info.kind == NUMERIC:
-        v = float(value)
-        if not np.isfinite(v):
-            raise DataError(f"missing value for split covariate {rule.covariate!r}")
-        return v <= rule.cutoff
-    level = str(value)
-    if level not in info.levels:
-        raise DataError(f"unseen level {level!r} for split covariate {rule.covariate!r}")
-    if rule.cutoff is not None:  # ordered categorical: cut on the level index
-        return info.levels.index(level) <= rule.cutoff
-    return level in rule.subset
+    return Tree(nodes=nodes, config=cfg, covariate_info=tuple(c.info for c in ds.covariates))
 
 
 def predict_node(tree: Tree, observation: dict) -> int:
-    """Route one observation (mapping covariate name -> value) from the root
-    down to a leaf; returns the leaf id.
-
-    Raises DataError on a missing value at a split covariate or an unseen
-    categorical level.
-    """
+    """The leaf id one observation (mapping covariate name -> value) reaches:
+    the leaf `route` gives the same row, each value typed as a CSV cell (a
+    missing name reads as a blank cell). DataError "no usable value for
+    split covariate 'c': <value>" where `route` would stop."""
     node = tree.root
     while not node.is_leaf:
         rule = node.split
-        if rule.covariate not in observation or observation[rule.covariate] is None:
-            raise DataError(f"observation missing split covariate {rule.covariate!r}")
-        try:
-            left = _route(observation[rule.covariate], tree.info(rule.covariate), rule)
-        except (TypeError, ValueError) as exc:
-            raise DataError(
-                f"bad value for split covariate {rule.covariate!r}: {exc}"
-            ) from exc
-        node = tree.nodes[node.children[0] if left else node.children[1]]
+        levels = tree.info(rule.covariate).levels
+        value = observation.get(rule.covariate, "")
+        x = typed_value(value, levels)
+        if not usable(x, levels):
+            raise DataError(f"no usable value for split covariate {rule.covariate!r}: {value!r}")
+        node = tree.nodes[node.children[0] if rule.holds(x, levels) else node.children[1]]
     return node.id
 
 
@@ -410,15 +361,15 @@ def route(tree: Tree, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
     partitions by applied to whole columns. `columns` maps every covariate
     the tree splits on to its typed column (`data.typed_column`, with the
     levels the tree declares). A row stops at the first split where its value
-    is unusable (NaN or -1), so it ends at an internal node exactly when it
-    cannot be routed."""
+    is not `usable`, so it ends at an internal node exactly when it cannot be
+    routed."""
     node_of = np.ones(n, dtype=np.int64)
     for node in tree.nodes.values():  # parents first: a node's rows are settled
         if not node.is_leaf:
             x = columns[node.split.covariate]
-            usable = x >= 0 if x.dtype.kind == "i" else ~np.isnan(x)
-            rows = np.flatnonzero((node_of == node.id) & usable)
-            left = node.split.holds(x[rows], tree.info(node.split.covariate).levels)
+            levels = tree.info(node.split.covariate).levels
+            rows = np.flatnonzero((node_of == node.id) & usable(x, levels))
+            left = node.split.holds(x[rows], levels)
             node_of[rows] = np.where(left, *node.children)
     return node_of
 

@@ -10,9 +10,9 @@ and its document; the loaded `Tree` lacks only the per-node selection
 tests, which documents do not store. `load_tree(path)`, the one reader of
 tree files, returns it with the (time, event) column names and turns every
 file it cannot read, decode, parse or validate into a DataError; what loads
-writes back to the same bytes. `tree_to_dot` renders a `Tree`; `predict`
-and `km` route whole columns with `partition.route`, and
-`partition.predict_node` routes one observation for library callers.
+writes back to the same bytes. `tree_to_dot` renders a `Tree`. Covariate
+metadata is validated by `data.CovariateInfo` and splits by
+`SplitRule.check`, as they are for a fitted tree.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import tempfile
 from collections import deque
 
 from . import __version__
-from .data import CATEGORICAL, NUMERIC, SplitRule
+from .data import CovariateInfo, SplitRule
 from .errors import DataError, FitError
-from .partition import CovariateInfo, FitConfig, TestMethod, Tree, TreeNode, describe_rule
+from .partition import FitConfig, TestMethod, Tree, TreeNode, describe_rule
 
 FORMAT_VERSION = 1
 
@@ -174,13 +174,8 @@ def _typed(x, kind: type):
 
 
 def _strings(x) -> tuple[str, ...]:
-    """A list of distinct strings, as levels and subsets are written. A
-    repeated level would route its rows by one copy and split them by the
-    other."""
-    strings = tuple(_typed(s, str) for s in _typed(x, list))
-    if len(set(strings)) != len(strings):
-        raise DataError(f"{x!r} repeats a string")
-    return strings
+    """A list of strings, as levels and subsets are written."""
+    return tuple(_typed(s, str) for s in _typed(x, list))
 
 
 def document_to_tree(doc: dict) -> Tree:
@@ -190,10 +185,11 @@ def document_to_tree(doc: dict) -> Tree:
     exactly once from node 1: a cycle, a child shared by two parents, an
     unreachable node, an unknown node kind or stop reason, a child list that
     is not two node ids, a split on an unknown covariate or one that does
-    not fit it (`SplitRule.check`), a field of the wrong JSON type (a
-    boolean where a number belongs, levels on a numeric covariate) and a
-    missing or non-finite field are all DataErrors, so that what loads
-    writes back through `tree_to_document` to the same bytes.
+    not fit it (`SplitRule.check`), covariate metadata `CovariateInfo`
+    refuses, a field of the wrong JSON type (a boolean where a number
+    belongs), an internal node without a p-value and a missing or
+    non-finite field are all DataErrors, so that what loads writes back
+    through `tree_to_document` to the same bytes.
     """
     try:
         cfg = doc["config"]
@@ -219,9 +215,6 @@ def document_to_tree(doc: dict) -> Tree:
         by_name = {ci.name: ci for ci in info}
         if len(by_name) != len(info):
             raise DataError("a covariate name appears twice")
-        for ci in info:
-            if ci.kind != (NUMERIC if ci.levels is None else CATEGORICAL) or ci.levels == ():
-                raise DataError(f"covariate {ci.name!r} has a bad kind or levels")
 
         entries = {}
         for entry in doc["nodes"]:
@@ -243,12 +236,12 @@ def document_to_tree(doc: dict) -> Tree:
                 n_effective=_number(entry["n"]),
                 events=_number(entry["events"]),
                 km_median=_optional_number(entry["km_median"]),
-                p_adjusted=_optional_number(entry["p_adjusted"]),
             )
             if entry["kind"] == "leaf":
                 if entry["stop_reason"] not in ("alpha", "minsplit", "minbucket", "max_depth"):
                     raise DataError(f"node {nid} has unknown stop reason {entry['stop_reason']!r}")
-                nodes[nid] = TreeNode(**base, stop_reason=entry["stop_reason"])
+                p_adjusted = _optional_number(entry["p_adjusted"])
+                nodes[nid] = TreeNode(**base, p_adjusted=p_adjusted, stop_reason=entry["stop_reason"])
                 continue
             if entry["kind"] != "internal":
                 raise DataError(f"node {nid} has unknown kind {entry['kind']!r}")
@@ -260,7 +253,7 @@ def document_to_tree(doc: dict) -> Tree:
                 rule = SplitRule(ci.name, cutoff=_number(split["cutoff"]))
             else:
                 rule = SplitRule(ci.name, subset=_strings(split["subset"]))
-            rule.check(ci.kind, ci.levels, ci.ordered)
+            rule.check(ci)
             kids = entry["children"]
             if type(kids) is not list or len(kids) != 2 or any(_typed(k, int) not in entries for k in kids):
                 raise DataError(f"node {nid} has bad children {kids!r}")
@@ -268,7 +261,8 @@ def document_to_tree(doc: dict) -> Tree:
                 if kid in reached:
                     raise DataError(f"node {kid} is reached twice (a cycle or a shared child)")
                 reached.add(kid)
-            nodes[nid] = TreeNode(**base, split=rule, children=tuple(kids))
+            p_adjusted = _number(entry["p_adjusted"])  # fit tests every node it splits
+            nodes[nid] = TreeNode(**base, p_adjusted=p_adjusted, split=rule, children=tuple(kids))
             queue.extend((kid, depth + 1) for kid in kids)
         unreachable = sorted(set(entries) - reached)
         if unreachable:
@@ -320,8 +314,7 @@ def tree_to_dot(tree: Tree) -> str:
                 f"median = {med_s}",
             ]
         else:
-            p_s = "NA" if node.p_adjusted is None else f"{node.p_adjusted:.4g}"
-            pieces = [node.split.covariate, f"p = {p_s}"]
+            pieces = [node.split.covariate, f"p = {node.p_adjusted:.4g}"]
         label = "\\n".join(_dot_escape(p) for p in pieces)
         lines.append(f'  n{node.id} [label="{label}"];')
     for node in nodes:

@@ -76,6 +76,27 @@ def test_simulate_config_not_utf8_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--threshold", "nan"], "", "meld_threshold must be finite"),
+        (["--age-effect", "nan:2"], "", "age_effect must be finite"),
+        (["--age-effect", "33.2:inf"], "", "age_effect must be finite"),
+        ([], "meld_threshold = nan\n", "meld_threshold must be finite"),
+        ([], "labs_mode = maybe\n", "config key 'labs_mode': bad value 'maybe'"),
+    ],
+    ids=["threshold-nan", "age-threshold-nan", "age-ratio-inf", "config-threshold-nan", "config-labs-mode"],
+)
+def test_simulate_bad_config_value_exits_3(tmp_path, capsys, flags, config, message):
+    # a non-finite threshold or ratio would silently remove the planted effect
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 20\n" + config, encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert run("simulate", "--config", str(cfg), *flags, "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_flag_exits_2(tmp_path):
     assert run("simulate", "--n", "ten", "--out", str(tmp_path / "x.csv")) == 2
 

@@ -22,7 +22,8 @@ from survtree import (
     subset_weights,
 )
 from survtree.data import read_csv_columns, typed_column
-from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, route
+from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, predict_node, route
+from survtree.treedoc import document_to_tree, tree_to_document
 
 SCHEMA = Schema("time", "event", (ColumnSpec("meld"), ColumnSpec("sex")))
 
@@ -387,7 +388,7 @@ def hand_tree(x_cut, g_subset, o_cut):
     nodes = {
         nid: TreeNode(
             id=nid, depth=depth[nid], n_effective=10.0, events=5.0, km_median=None,
-            split=splits.get(nid), children=children.get(nid),
+            p_adjusted=0.01 if nid in splits else None, split=splits.get(nid), children=children.get(nid),
             stop_reason=None if nid in splits else "alpha",
         )
         for nid in range(1, 10)
@@ -421,6 +422,60 @@ def test_route_matches_per_row_oracle(text, x_cut, g_subset, o_cut):
             assert not tree.nodes[node].is_leaf
         else:
             assert node == leaf
+        # the library router, on the raw cells (a short row lacks some names)
+        observation = dict(zip(header, row))
+        if tree.nodes[node].is_leaf:
+            assert predict_node(tree, observation) == node
+        else:
+            covariate = tree.nodes[node].split.covariate
+            cell = observation.get(covariate, "")
+            with pytest.raises(DataError) as raised:
+                predict_node(tree, observation)
+            assert str(raised.value) == f"no usable value for split covariate {covariate!r}: {cell!r}"
+
+
+def test_predict_node_types_values_as_cells():
+    tree = hand_tree(1.0, ("a",), 0.0)
+    # x <= 1 then g in {a}: leaf 4; x > 1 then o <= lo: leaf 6
+    assert predict_node(tree, {"x": 0.5, "g": "a"}) == 4
+    assert predict_node(tree, {"x": " 0.5 ", "g": " a"}) == 4
+    assert predict_node(tree, {"x": "2", "o": "lo "}) == 6
+    assert predict_node(tree, {"x": 2, "o": "lo"}) == 6
+    for value in ["", "nan", "inf", "1e400", "abc", None]:
+        with pytest.raises(DataError, match=f"^no usable value for split covariate 'x': {value!r}$"):
+            predict_node(tree, {"x": value, "g": "a", "o": "lo"})
+    with pytest.raises(DataError, match="^no usable value for split covariate 'g': 'A'$"):
+        predict_node(tree, {"x": 0.5, "g": "A"})
+
+
+# (kind, levels, ordered) that break the one name-and-level rule, and what the error names
+LEVEL_RULE_BREAKS = [
+    pytest.param(CATEGORICAL, ("a", "a", "b"), False, "repeat a level", id="repeated-level"),
+    pytest.param(CATEGORICAL, ("a", "", "b"), False, "blank or padded", id="blank-level"),
+    pytest.param(CATEGORICAL, ("a", " b", "c"), False, "blank or padded", id="padded-level"),
+    pytest.param(CATEGORICAL, ("a",), False, "fewer than 2 levels", id="single-level"),
+    pytest.param(NUMERIC, None, True, "only a categorical covariate can be ordered", id="ordered-numeric"),
+    pytest.param(NUMERIC, ("a", "b"), False, "numeric covariate takes no levels", id="levels-on-numeric"),
+]
+
+
+@pytest.mark.parametrize("kind, levels, ordered, message", LEVEL_RULE_BREAKS)
+def test_level_rule_is_kept_everywhere(tmp_path, kind, levels, ordered, message):
+    with pytest.raises(DataError, match=message):
+        Covariate("g", kind, [0, 1, 2], levels=levels, ordered=ordered)
+
+    doc = tree_to_document(hand_tree(1.0, ("a",), 0.0), "time", "event")
+    document_to_tree(doc)  # the unedited document loads
+    entry = next(c for c in doc["config"]["covariates"] if c["kind"] == kind)
+    entry.update(levels=None if levels is None else list(levels), ordered=ordered)
+    with pytest.raises(DataError, match=f"malformed tree document: .*{message}"):
+        document_to_tree(doc)
+
+    if levels is not None:  # a ColumnSpec has no way to declare an ordered numeric
+        path = write(tmp_path, "time,event,g\n1,1,a\n2,0,b\n3,1,c\n")
+        spec_kind = NUMERIC if kind == NUMERIC else "ordinal" if ordered else CATEGORICAL
+        with pytest.raises(DataError, match=message):
+            load_csv(path, Schema("time", "event", (ColumnSpec("g", spec_kind, levels),)))
 
 
 def test_typed_column_markers():

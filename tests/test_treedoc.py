@@ -197,6 +197,10 @@ def _levels_as_text(doc):
     _categorical(doc)["levels"] = "abc"
 
 
+def _split_without_p_value(doc):
+    _node(doc, 1)["p_adjusted"] = None
+
+
 # (defect, what the error names): config values a fit would refuse, and
 # fields of the wrong JSON type, which would not write back to the same
 # bytes; node 2 must be a leaf
@@ -207,6 +211,7 @@ VALUE_DEFECTS = [
     (_unknown_stop_reason, "unknown stop reason 42"),
     (_boolean_number, "True is not a finite number"),
     (_levels_as_text, "expected list, got 'abc'"),
+    (_split_without_p_value, "None is not a finite number"),
 ]
 
 
