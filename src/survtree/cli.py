@@ -2,9 +2,9 @@
 
 Subcommands: simulate (synthetic cohort CSV), fit (tree JSON + text render),
 predict (row -> leaf table), export-dot (Graphviz view), km (per-leaf
-survival curves). Exit codes: 0 ok, 2 bad flags, 3 data errors, 4 fit
-errors; messages go to standard error. All outputs are written atomically,
-and all randomness enters through explicit --seed flags.
+survival curves). Exit codes: 0 ok, 2 bad flags, 3 data errors and unwritable
+outputs, 4 fit errors; messages go to standard error. All outputs are written
+atomically, and all randomness enters through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
 from .partition import FitConfig, TestMethod, Tree, fit, render_text, route
-from .treedoc import dumps_canonical, load_tree, tree_to_document, tree_to_dot, write_atomic
+from .treedoc import dumps_canonical, load_tree, open_atomic, tree_to_document, tree_to_dot, write_atomic
 
 _KIND_ALIASES = {"num": "numeric", "cat": "categorical", "ord": "ordinal"}
 
@@ -144,7 +143,8 @@ def _cmd_simulate(args) -> int:
             overrides[field] = value
     cfg = dataclasses.replace(cfg, **overrides)
     ds = simulate_cohort(cfg)
-    write_atomic(args.out, dataset_to_csv(ds))
+    with open_atomic(args.out) as fh:
+        dataset_to_csv(ds, fh)
     event_frac = float(np.mean(ds.response.event))
     meld = ds.covariate("meld").values
     q1, q2, q3 = (float(np.percentile(meld, q)) for q in (25, 50, 75))
@@ -241,23 +241,23 @@ def _cmd_km(args) -> int:
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     written = set()
-    for leaf_id in np.unique(node_of[keep]).tolist():
-        idx = np.flatnonzero(keep & (node_of == leaf_id))
-        curve = km_estimate(time[idx], event[idx] == 1.0)
-        out = io.StringIO()
-        out.write("time,survival\n")
-        out.write("0.0,1.0\n")  # anchor: the curve starts at 1 at t = 0
-        for t, s in curve.steps:
-            out.write(f"{t!r},{s!r}\n")
-        name = f"leaf_{leaf_id}.csv"
-        write_atomic(os.path.join(args.out_dir, name), out.getvalue())
-        written.add(name)
-    # curves of an earlier tree in the same directory would pass for this one's
-    for name in os.listdir(args.out_dir):
-        if _LEAF_FILE.fullmatch(name) and name not in written:
-            os.remove(os.path.join(args.out_dir, name))
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for leaf_id in np.unique(node_of[keep]).tolist():
+            idx = np.flatnonzero(keep & (node_of == leaf_id))
+            curve = km_estimate(time[idx], event[idx] == 1.0)
+            # anchor: the curve starts at 1 at t = 0
+            text = "time,survival\n0.0,1.0\n" + "".join(f"{t!r},{s!r}\n" for t, s in curve.steps)
+            name = f"leaf_{leaf_id}.csv"
+            write_atomic(os.path.join(args.out_dir, name), text)
+            written.add(name)
+        # curves of an earlier tree in the same directory would pass for this one's
+        for name in os.listdir(args.out_dir):
+            if _LEAF_FILE.fullmatch(name) and name not in written:
+                os.remove(os.path.join(args.out_dir, name))
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out_dir}: {exc.strerror or exc}") from exc
     print(f"wrote {len(written)} leaf curves to {args.out_dir}")
     return 0
 

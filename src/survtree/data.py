@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 import operator
@@ -40,6 +39,7 @@ class CovariateInfo:
     ordered: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", None if self.levels is None else tuple(self.levels))
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"covariate {self.name!r}: unknown kind {self.kind!r}")
         if (self.kind == NUMERIC) != (self.levels is None):
@@ -72,7 +72,7 @@ class Covariate:
     ordered: bool = False
 
     def __post_init__(self):
-        self.info  # CovariateInfo validates the metadata
+        object.__setattr__(self, "levels", self.info.levels)  # CovariateInfo validates the metadata
         if self.kind == NUMERIC:
             vals = np.asarray(self.values, dtype=float)
             if not np.all(np.isfinite(vals)):
@@ -164,7 +164,8 @@ class ColumnSpec:
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.levels is not None:
             kind = NUMERIC if self.kind == NUMERIC else CATEGORICAL
-            CovariateInfo(self.name, kind, self.levels, self.kind == "ordinal")
+            info = CovariateInfo(self.name, kind, self.levels, self.kind == "ordinal")
+            object.__setattr__(self, "levels", info.levels)  # as a tuple
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,7 @@ class Schema:
 
 
 _EVENT_FLAGS = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0, "": np.nan}
+_BLOCK = 4096  # rows the CSV reader and writer handle at a time
 
 
 def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]:
@@ -208,7 +210,7 @@ def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]
             columns: list[list[str]] = [[] for _ in names]
             n = 0
             # a block of rows at a time, so that only the named cells are kept
-            while block := list(itertools.islice(reader, 4096)):
+            while block := list(itertools.islice(reader, _BLOCK)):
                 block = [row for row in block if row]
                 n += len(block)
                 for i, column in zip(index, columns):
@@ -240,17 +242,22 @@ def usable(x, levels: tuple[str, ...] | None):
     return x >= 0 if levels is not None else x == x
 
 
+def _by_distinct(cells: list[str], f, dtype) -> np.ndarray:
+    """`f` of each cell, computed once per distinct string."""
+    index = {c: f(c) for c in set(cells)}
+    return np.array([index[c] for c in cells], dtype=dtype)
+
+
 def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.ndarray:
     """`typed_value` of each cell."""
     if levels is None:
         try:
             x = np.array(cells, dtype=float)  # numpy parses each cell as float() does
         except ValueError:
-            return np.array([typed_value(c) for c in cells], dtype=float)
+            return _by_distinct(cells, typed_value, float)
         x[~np.isfinite(x)] = np.nan
         return x
-    index = {c: typed_value(c, levels) for c in set(cells)}
-    return np.array([index[c] for c in cells], dtype=np.int64)
+    return _by_distinct(cells, lambda c: typed_value(c, levels), np.int64)
 
 
 def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +267,7 @@ def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> 
     first), whether or not the row would be dropped: invalid values are data
     bugs, not missingness."""
     time = typed_column(time_cells)
-    event = np.array([_EVENT_FLAGS.get(c.strip().lower(), -1.0) for c in event_cells], dtype=float)
+    event = _by_distinct(event_cells, lambda c: _EVENT_FLAGS.get(c.strip().lower(), -1.0), float)
     bad = np.flatnonzero((event < 0) | (time < 0))
     if bad.size:
         i = int(bad[0])
@@ -285,23 +292,17 @@ def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
 
     typed = []
     for spec, cells in zip(schema.covariates, covariate_cells):
-        kind = spec.kind
+        kind, levels = spec.kind, None
+        values = typed_column(cells) if kind in ("auto", NUMERIC) else None
         if kind == "auto":
             # inferred over every row, so that it is a property of the file,
-            # not of which rows survive
-            try:
-                x = np.array([c for c in cells if c.strip()], dtype=float)
-                kind = NUMERIC if np.all(np.isfinite(x)) else CATEGORICAL
-            except ValueError:
-                kind = CATEGORICAL
-        levels = None
+            # not of which rows survive: numeric iff only blank cells are NaN
+            kind = CATEGORICAL if any(cells[i].strip() for i in np.flatnonzero(np.isnan(values))) else NUMERIC
         if kind != NUMERIC:
             # observed levels are validated after dropping: an all-missing
             # column should surface as "zero rows remain", not as bad levels
-            levels = spec.levels
-            if levels is None:
-                levels = tuple(sorted({c.strip() for c in cells} - {""}))
-        values = typed_column(cells, levels)
+            levels = spec.levels or tuple(sorted({c.strip() for c in set(cells)} - {""}))
+            values = typed_column(cells, levels)
         keep &= usable(values, levels)
         typed.append((spec.name, kind, values, levels))
 
@@ -370,18 +371,15 @@ def subset_weights(
     return left, w - left
 
 
-def dataset_to_csv(ds: Dataset) -> str:
-    """Render a Dataset in the same CSV dialect load_csv reads (covariate
-    columns in declared order, then time,event). Floats use repr and cells
-    are quoted only where needed, so a load_csv round trip is lossless:
-    `CovariateInfo` keeps names and levels to what load_csv reads back."""
-    columns = [
-        [repr(v) if c.kind == NUMERIC else c.levels[v] for v in c.values.tolist()] for c in ds.covariates
-    ]
-    columns.append([repr(t) for t in ds.response.time.tolist()])
-    columns.append(["1" if e else "0" for e in ds.response.event.tolist()])
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def dataset_to_csv(ds: Dataset, fh) -> None:
+    """Write a Dataset, a block of rows at a time, to the text handle `fh` in
+    the CSV dialect load_csv reads (covariates in declared order, then
+    time,event). Floats use repr and cells are quoted only where needed, so
+    a load_csv round trip is lossless (`CovariateInfo` keeps levels readable)."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([c.name for c in ds.covariates] + ["time", "event"])
-    writer.writerows(zip(*columns))
-    return out.getvalue()
+    columns = [(c.values, c.levels) for c in ds.covariates]
+    columns += [(ds.response.time, None), (ds.response.event.astype(np.int64), ("0", "1"))]
+    for start in range(0, ds.n, _BLOCK):
+        block = [(x[start : start + _BLOCK].tolist(), levels) for x, levels in columns]
+        writer.writerows(zip(*[[repr(v) for v in x] if levels is None else [levels[v] for v in x] for x, levels in block]))

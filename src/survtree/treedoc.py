@@ -17,6 +17,7 @@ metadata is validated by `data.CovariateInfo` and splits by
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -67,21 +68,31 @@ def dumps_canonical(obj, _indent: int = 0) -> str:
     raise DataError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename, so a failed
-    command never leaves a partial output file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+@contextlib.contextmanager
+def open_atomic(path: str):
+    """A UTF-8 text handle on a temp file beside `path`, renamed to it when the
+    block ends without error, so that no failure leaves a partial output. The
+    file gets the mode open() gives; any OSError on it is a DataError."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.umask(umask := os.umask(0))  # reads the umask
+                os.fchmod(fd, 0o666 & ~umask)
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through `open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def tree_to_document(

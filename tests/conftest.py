@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from survtree import CATEGORICAL, NUMERIC, Covariate, Dataset, SurvivalResponse
+from survtree import CATEGORICAL, NUMERIC, Covariate, Dataset, SurvivalResponse, dataset_to_csv
 
 
 def make_censored(rng, n, censor_frac=0.4):
@@ -30,6 +32,13 @@ def make_dataset(rng, n, n_numeric=2, n_categorical=1, censor_frac=0.4):
         )
     time, event = make_censored(rng, n, censor_frac)
     return Dataset(tuple(covs), SurvivalResponse(time, event))
+
+
+def csv_text(ds):
+    """What dataset_to_csv writes for a Dataset, as one string."""
+    out = io.StringIO()
+    dataset_to_csv(ds, out)
+    return out.getvalue()
 
 
 def observation(ds, i):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survtree.data
 from survtree import DataError
 from survtree.cli import main
 from survtree.treedoc import dumps_canonical, load_tree, tree_to_document
@@ -357,6 +358,82 @@ def test_km_removes_stale_leaf_curves(tmp_path):
     (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
     assert run("km", "--tree", one, "--data", data, "--out-dir", str(out_dir)) == 0
     assert sorted(os.listdir(out_dir)) == ["leaf_1.csv", "notes.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_get_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        data = simulate(tmp_path)
+        tree = fit_tree(tmp_path, data)
+        assert run("predict", "--tree", tree, "--data", data, "--out", str(tmp_path / "leaves.csv")) == 0
+        assert run("export-dot", "--tree", tree, "--out", str(tmp_path / "tree.dot")) == 0
+        assert run("km", "--tree", tree, "--data", data, "--out-dir", str(tmp_path / "km")) == 0
+    finally:
+        os.umask(old)
+    files = ["cohort.csv", "tree.json", "leaves.csv", "tree.dot"]
+    files += [f"km/{name}" for name in os.listdir(tmp_path / "km")]
+    assert len(files) > 4
+    for name in files:
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_simulate_into_a_missing_directory_exits_3(tmp_path, capsys):
+    capsys.readouterr()
+    assert run("simulate", "--out", str(tmp_path / "missing" / "x.csv")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_km_into_an_existing_file_exits_3(tmp_path, capsys):
+    data = simulate(tmp_path)
+    tree = fit_tree(tmp_path, data)
+    (tmp_path / "km").write_text("a file", encoding="utf-8")
+    capsys.readouterr()
+    assert run("km", "--tree", tree, "--data", data, "--out-dir", str(tmp_path / "km")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert (tmp_path / "km").read_text(encoding="utf-8") == "a file"
+    assert sorted(os.listdir(tmp_path)) == ["cohort.csv", "km", "tree.json"]
+
+
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("error, code", [(OSError(28, "No space left on device"), 3), (RuntimeError("stop"), None)])
+def test_simulate_failing_after_one_block_leaves_no_file(tmp_path, monkeypatch, capsys, exists, error, code):
+    target = tmp_path / "cohort.csv"
+    if exists:
+        target.write_text("before", encoding="utf-8")
+    real = csv.writer
+
+    class FailingWriter:
+        """Writes the header and the first block of rows, then raises."""
+
+        def __init__(self, fh, **kwargs):
+            self.inner, self.blocks = real(fh, **kwargs), 0
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            if self.blocks:
+                raise error
+            self.blocks += 1
+            self.inner.writerows(rows)
+
+    monkeypatch.setattr(survtree.data.csv, "writer", FailingWriter)
+    argv = ("simulate", "--n", str(2 * survtree.data._BLOCK), "--out", str(target))
+    if code is None:
+        with pytest.raises(RuntimeError):
+            run(*argv)
+    else:
+        assert run(*argv) == code
+        assert "No space left on device" in capsys.readouterr().err
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+    if exists:
+        assert target.read_text(encoding="utf-8") == "before"
+    else:
+        assert not target.exists()
 
 
 def edit_header(src, dst, edit):

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
+from conftest import csv_text
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -16,12 +19,14 @@ from survtree import (
     Dataset,
     Schema,
     SplitRule,
+    SimConfig,
     SurvivalResponse,
     dataset_to_csv,
     load_csv,
+    simulate_cohort,
     subset_weights,
 )
-from survtree.data import read_csv_columns, typed_column
+from survtree.data import _BLOCK, read_csv_columns, typed_column
 from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, predict_node, route
 from survtree.treedoc import document_to_tree, tree_to_document
 
@@ -274,7 +279,7 @@ def test_round_trip_csv(tmp_path, rng):
     for levels in [("A", "B"), ("a,b", 'say "b"')]:
         ds = two_col_dataset(levels)
         path = tmp_path / "rt.csv"
-        path.write_text(dataset_to_csv(ds), encoding="utf-8")
+        path.write_text(csv_text(ds), encoding="utf-8")
         schema = Schema("time", "event", (ColumnSpec("x"), ColumnSpec("g")))
         back, dropped = load_csv(str(path), schema)
         assert dropped == 0
@@ -284,7 +289,42 @@ def test_round_trip_csv(tmp_path, rng):
         np.testing.assert_array_equal(back.response.event, ds.response.event)
     # the reader strips cells, so " a" would come back as "a"
     with pytest.raises(DataError, match="padded"):
-        dataset_to_csv(two_col_dataset((" a", "a")))
+        csv_text(two_col_dataset((" a", "a")))
+
+
+def whole_cohort_csv(ds):
+    """The CSV formatter that the streamed writer replaced: every cell string
+    of the cohort first, then one write."""
+    columns = [
+        [repr(v) if c.kind == NUMERIC else c.levels[v] for v in c.values.tolist()] for c in ds.covariates
+    ]
+    columns.append([repr(t) for t in ds.response.time.tolist()])
+    columns.append(["1" if e else "0" for e in ds.response.event.tolist()])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([c.name for c in ds.covariates] + ["time", "event"])
+    writer.writerows(zip(*columns))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK + 17, 100])
+def test_streamed_csv_matches_whole_cohort_formatter(n):
+    assert n % _BLOCK
+    ds = simulate_cohort(SimConfig(n=n, seed=5))
+    rng = np.random.Generator(np.random.Philox(key=n))
+    quoted = Covariate("q", CATEGORICAL, rng.integers(0, 3, n), levels=("a,b", 'say "b"', "c"), ordered=True)
+    ds = Dataset((*ds.covariates, quoted), ds.response)
+    out = io.StringIO()
+    dataset_to_csv(ds, out)
+    assert out.getvalue() == whole_cohort_csv(ds)
+
+
+def test_levels_given_as_a_list_are_a_tuple():
+    info = Covariate("g", CATEGORICAL, [0, 1], levels=["a", "b"]).info
+    assert info.levels == ("a", "b")
+    assert hash(info) == hash(CovariateInfo("g", CATEGORICAL, ("a", "b")))
+    assert CovariateInfo("g", CATEGORICAL, ["a", "b"]).levels == ("a", "b")
+    assert ColumnSpec("g", CATEGORICAL, ["a", "b"]).levels == ("a", "b")
 
 
 # --- differential: typed columns against the row-by-row oracle -----------------

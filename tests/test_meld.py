@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import csv_text
 from survtree import (
     DataError,
     FitConfig,
     MeldRecord,
     SimConfig,
-    dataset_to_csv,
     fit,
     load_csv,
     meld_score,
@@ -67,17 +67,17 @@ def test_simulate_shape_and_columns():
 
 
 def test_simulate_deterministic_bytes():
-    a = dataset_to_csv(simulate_cohort(SimConfig(n=200, seed=9)))
-    b = dataset_to_csv(simulate_cohort(SimConfig(n=200, seed=9)))
+    a = csv_text(simulate_cohort(SimConfig(n=200, seed=9)))
+    b = csv_text(simulate_cohort(SimConfig(n=200, seed=9)))
     assert a == b
-    c = dataset_to_csv(simulate_cohort(SimConfig(n=200, seed=10)))
+    c = csv_text(simulate_cohort(SimConfig(n=200, seed=10)))
     assert a != c
 
 
 def test_simulate_round_trips_through_load_csv(tmp_path):
     ds = simulate_cohort(SimConfig(n=60, seed=4))
     path = tmp_path / "cohort.csv"
-    path.write_text(dataset_to_csv(ds), encoding="utf-8")
+    path.write_text(csv_text(ds), encoding="utf-8")
     schema = Schema("time", "event", tuple(ColumnSpec(c.name) for c in ds.covariates))
     back, dropped = load_csv(str(path), schema)
     assert dropped == 0

@@ -100,6 +100,16 @@ def test_loaded_tree_is_the_fitted_tree(seed, n, planted, alpha, max_depth):
     assert route(loaded, columns, ds.n).tolist() == fitted_leaves
 
 
+def test_levels_given_as_a_list_load_back_equal():
+    ds = planted_dataset(11, 200, "g")
+    listed = [dataclasses.replace(c, levels=list(c.levels)) if c.levels else c for c in ds.covariates]
+    tree = fit(Dataset(tuple(listed), ds.response), FitConfig(minsplit=20, minbucket=7))
+    assert not tree.root.is_leaf
+    loaded = document_to_tree(json.loads(document_text(tree)))
+    assert document_text(loaded) == document_text(tree)
+    assert loaded == without_tests(tree)
+
+
 @pytest.fixture(scope="module")
 def two_level_doc():
     ds = planted_dataset(11, 200, "x")
