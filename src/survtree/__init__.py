@@ -15,7 +15,6 @@ from .data import (
     SurvivalResponse,
     dataset_to_csv,
     load_csv,
-    subset_weights,
 )
 from .errors import DataError, FitError
 from .influence import encode_covariate, identity_scores, logrank_scores
@@ -82,5 +81,4 @@ __all__ = [
     "render_text",
     "simulate_cohort",
     "standardize_max",
-    "subset_weights",
 ]

@@ -1,9 +1,9 @@
 """Tabular learning-sample model: typed covariates, right-censored response,
 case weights, CSV ingestion with listwise deletion of incomplete rows.
 
-A node of a fitted tree is represented purely by a case-weight vector over the
-original observations, so everything downstream works on (Dataset, weights)
-pairs and never copies rows.
+Fitting never copies a Dataset: a node of a fitted tree is the row indices
+it holds plus their positive case weights, and each node slices the columns
+it needs by those rows.
 """
 
 from __future__ import annotations
@@ -207,14 +207,18 @@ def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]
                 if name not in header:
                     raise DataError(f"{path}: column {name!r} not in header {header}")
             index = [header.index(name) for name in names]
+            width = max(index, default=-1) + 1
             columns: list[list[str]] = [[] for _ in names]
             n = 0
             # a block of rows at a time, so that only the named cells are kept
             while block := list(itertools.islice(reader, _BLOCK)):
                 block = [row for row in block if row]
                 n += len(block)
+                for row in block:
+                    if len(row) < width:
+                        row.extend([""] * (width - len(row)))
                 for i, column in zip(index, columns):
-                    column.extend([row[i] if i < len(row) else "" for row in block])
+                    column.extend(map(operator.itemgetter(i), block))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return columns, n
@@ -353,22 +357,6 @@ class SplitRule:
             what = f"cut-off {self.cutoff!r}" if self.subset is None else f"subset {list(self.subset)!r}"
             kind = f"ordered {info.kind}" if info.ordered else info.kind
             raise DataError(f"{what} does not fit {kind} covariate {self.covariate!r}")
-
-
-def subset_weights(
-    ds: Dataset, w: np.ndarray, rule: SplitRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition case weights by a split rule: left_i = w_i where the rule
-    holds, right_i = w_i - left_i. left + right == w elementwise, exactly."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ds.n,):
-        raise DataError(f"weights have shape {w.shape}, expected ({ds.n},)")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise DataError("case weights must be finite and non-negative")
-    cov = ds.covariate(rule.covariate)
-    rule.check(cov.info)
-    left = np.where(rule.holds(cov.values, cov.levels), w, 0.0)
-    return left, w - left
 
 
 def dataset_to_csv(ds: Dataset, fh) -> None:

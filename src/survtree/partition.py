@@ -1,9 +1,10 @@
 """Recursive binary partitioning driven by permutation tests.
 
-At each node (a case-weight vector over the learning sample):
+At each node (the learning-sample rows it holds, in row order, with their
+case weights, all positive; the root drops zero-weight rows once):
 
-1. recompute log-rank scores from the node's positively weighted
-   observations and test every covariate's association with them;
+1. recompute log-rank scores from the node's rows alone and test every
+   covariate's association with them;
 2. stop if the smallest Bonferroni-adjusted p-value exceeds alpha (or the
    node is too light, or the depth bound is hit);
 3. otherwise split the selected covariate at the cut-off maximizing the
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, subset_weights, typed_value, usable
+from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, typed_value, usable
 from .errors import DataError, FitError
 from .influence import encode_covariate, logrank_scores
 from .km import km_estimate
@@ -51,6 +52,9 @@ class TestMethod:
     def validate(self) -> None:
         if self.name not in ("asymptotic", "montecarlo", "exact"):
             raise FitError(f"unknown test method {self.name!r}")
+        for name, value in (("replicates", self.replicates), ("seed", self.seed)):
+            if type(value) is not int:  # as a tree file stores it: not a bool, float or numpy int
+                raise FitError(f"{name} must be an int, got {value!r}")
         if self.name == "montecarlo" and self.replicates < 1:
             raise FitError("montecarlo needs at least 1 replicate")
 
@@ -74,8 +78,8 @@ class FitConfig:
             raise FitError(
                 f"minsplit ({self.minsplit}) must be >= 2 * minbucket ({self.minbucket})"
             )
-        if self.max_depth is not None and self.max_depth < 0:
-            raise FitError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 0):
+            raise FitError(f"max_depth must be None or an int >= 0, got {self.max_depth!r}")
         self.test.validate()
 
 
@@ -132,25 +136,19 @@ class Tree:
 
 def weighted_midranks(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Midranks of x over the weight-expanded multiset: for observation i,
-    (weight below x_i) + (weight at x_i + 1) / 2. Zero-weight rows get rank 0
-    (they are annihilated by the weights downstream anyway)."""
+    (weight below x_i) + (weight at x_i + 1) / 2. Weights are positive."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    out = np.zeros_like(x)
-    active = np.flatnonzero(w > 0)
-    if active.size == 0:
-        return out
-    xa, wa = x[active], w[active]
-    order = np.argsort(xa, kind="stable")
-    xs, ws = xa[order], wa[order]
+    order = np.argsort(x, kind="stable")
+    xs, ws = x[order], w[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(xs)) + 1))
     cum = np.concatenate(([0.0], np.cumsum(ws)))
     block = np.searchsorted(starts, np.arange(xs.size), side="right") - 1
     ends = np.concatenate((starts[1:], [xs.size]))
     w_below = cum[starts]
     w_at = cum[ends] - cum[starts]
-    ranks_sorted = w_below[block] + (w_at[block] + 1.0) / 2.0
-    out[active[order]] = ranks_sorted
+    out = np.empty_like(x)
+    out[order] = w_below[block] + (w_at[block] + 1.0) / 2.0
     return out
 
 
@@ -172,7 +170,9 @@ def _indicator_stats(
 def best_split(
     w: np.ndarray, cov: Covariate, scores: np.ndarray, cfg: FitConfig
 ) -> SplitRule | None:
-    """Best binary split of `cov` for the node defined by weights `w`.
+    """Best binary split of `cov` for a node: `cov.values`, `scores` and the
+    case weights `w` hold the node's rows, and every weight is positive
+    (DataError otherwise).
 
     Numeric / ordered: scans every distinct observed value except the largest
     as a candidate cut-off, maximizing the standardized two-sample statistic;
@@ -183,23 +183,22 @@ def best_split(
 
     Tie-breaking treats statistics within 1e-12 (relative) of the maximum as
     tied and keeps the earliest candidate: genuinely tied candidates (mirror
-    subsets around a zero-weight level, symmetric score patterns) must not
+    subsets around an unobserved level, symmetric score patterns) must not
     be decided by floating-point summation order.
     """
     w = np.asarray(w, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    active = w > 0
-    w_a = w[active]
-    a_a = scores[active]
-    wsum = float(w_a.sum())
-    e_hat = float(w_a @ a_a) / wsum
-    v_hat = float(w_a @ ((a_a - e_hat) ** 2)) / wsum
+    if not np.all(w > 0):
+        raise DataError("best_split needs positive case weights")
+    wsum = float(w.sum())
+    e_hat = float(w @ scores) / wsum
+    v_hat = float(w @ ((scores - e_hat) ** 2)) / wsum
 
     numeric = cov.kind == NUMERIC or cov.ordered
     if numeric:
-        x_a = np.asarray(cov.values, dtype=float)[active]
-        order = np.argsort(x_a, kind="stable")
-        xs, ws, sc = x_a[order], w_a[order], a_a[order]
+        x = np.asarray(cov.values, dtype=float)
+        order = np.argsort(x, kind="stable")
+        xs, ws, sc = x[order], w[order], scores[order]
         boundary = np.nonzero(np.diff(xs))[0]  # cut at xs[i] for xs[i] != xs[i+1]
         if boundary.size == 0:
             return None
@@ -207,9 +206,8 @@ def best_split(
         T = np.cumsum(ws * sc)[boundary]
     else:
         K = cov.n_levels
-        vals = cov.values[active]
-        w_level = np.bincount(vals, weights=w_a, minlength=K)
-        s_level = np.bincount(vals, weights=w_a * a_a, minlength=K)
+        w_level = np.bincount(cov.values, weights=w, minlength=K)
+        s_level = np.bincount(cov.values, weights=w * scores, minlength=K)
         subsets = [  # level 0 always in; full set excluded
             [0] + [k for k in range(1, K) if mask & (1 << (k - 1))] for mask in range(2 ** (K - 1) - 1)
         ]
@@ -231,11 +229,12 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
     """Grow a conditional-inference survival tree on `ds`.
 
     `weights` are optional root case weights (default all ones); integer
-    weights grow the same tree as physically replicating rows. Requires at
-    least one positively weighted event.
+    weights grow the same tree as physically replicating rows, and rows of
+    weight 0 are dropped before the root, so the tree is the one grown
+    without them, bit for bit. Requires at least one positively weighted
+    event.
     """
     cfg.validate()
-    time, event = ds.response.time, ds.response.event
     if weights is None:
         w0 = np.ones(ds.n)
     else:
@@ -244,7 +243,7 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
             raise FitError(f"weights have shape {w0.shape}, expected ({ds.n},)")
         if not np.all(np.isfinite(w0)) or np.any(w0 < 0):
             raise FitError("case weights must be finite and non-negative")
-    if float(w0[event].sum()) <= 0:
+    if float(w0[ds.response.event].sum()) <= 0:
         raise FitError("dataset has no (positively weighted) events")
     if not ds.covariates:
         raise FitError("dataset has no covariates to split on")
@@ -255,24 +254,21 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
                 f"capped at {MAX_CATEGORICAL_LEVELS} (declare it ordinal or regroup)"
             )
 
-    # one-hot designs are node-independent; rank designs are rebuilt per node
-    onehot = {
-        c.name: encode_covariate(c)
+    # per covariate, what a node takes its selection design's rows from: the
+    # one-hot matrix (2-d), or the values it ranks within the node (1-d)
+    sources = [
+        encode_covariate(c) if c.kind == CATEGORICAL and not c.ordered else np.asarray(c.values, dtype=float)
         for c in ds.covariates
-        if c.kind == CATEGORICAL and not c.ordered
-    }
-
-    def selection_design(cov: Covariate, w: np.ndarray) -> np.ndarray:
-        if cov.kind == NUMERIC or cov.ordered:
-            return weighted_midranks(np.asarray(cov.values, dtype=float), w).reshape(-1, 1)
-        return onehot[cov.name]
+    ]
 
     nodes: dict[int, TreeNode] = {}
     next_id = 2
-    queue: deque[tuple[int, np.ndarray, int]] = deque([(1, w0, 0)])
+    root_rows = np.flatnonzero(w0 > 0)
+    queue: deque[tuple[int, np.ndarray, np.ndarray, int]] = deque([(1, root_rows, w0[root_rows], 0)])
 
     while queue:
-        nid, w, depth = queue.popleft()
+        nid, rows, w, depth = queue.popleft()
+        time, event = ds.response.time[rows], ds.response.event[rows]
         n_eff = float(w.sum())
         events_w = float(w[event].sum())
         base = dict(
@@ -293,7 +289,7 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         scores = logrank_scores(time, event, w)
         try:
             raw = test_statistic(
-                [selection_design(c, w) for c in ds.covariates],
+                [s[rows] if s.ndim == 2 else weighted_midranks(s[rows], w).reshape(-1, 1) for s in sources],
                 scores,
                 w,
                 cfg.test.name,
@@ -320,21 +316,22 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         if p_min > cfg.alpha:
             nodes[nid] = TreeNode(**base, tests=tests, p_adjusted=p_min, stop_reason="alpha")
             continue
-        rule = best_split(w, ds.covariates[j], scores, cfg)
+        cov = replace(ds.covariates[j], values=ds.covariates[j].values[rows])
+        rule = best_split(w, cov, scores, cfg)
         if rule is None:
             nodes[nid] = TreeNode(
                 **base, tests=tests, p_adjusted=p_min, stop_reason="minbucket"
             )
             continue
 
-        w_left, w_right = subset_weights(ds, w, rule)
+        left = rule.holds(cov.values, cov.levels)
         children = (next_id, next_id + 1)
         next_id += 2
         nodes[nid] = TreeNode(
             **base, tests=tests, p_adjusted=p_min, split=rule, children=children
         )
-        queue.append((children[0], w_left, depth + 1))
-        queue.append((children[1], w_right, depth + 1))
+        queue.append((children[0], rows[left], w[left], depth + 1))
+        queue.append((children[1], rows[~left], w[~left], depth + 1))
 
     return Tree(nodes=nodes, config=cfg, covariate_info=tuple(c.info for c in ds.covariates))
 

@@ -5,14 +5,14 @@ For an n x p design g, scores a and case weights w, the linear statistic is
 
     T = sum_i w_i * g_i * a_i            (a p-vector; scores are scalar)
 
-and its conditional expectation and covariance under random permutation of
-the scores given the weights are
+and its conditional expectation and the variances sigma_kk of its
+coordinates under random permutation of the scores given the weights are
 
-    E_hat  = (1/w.) sum_i w_i a_i
-    V_hat  = (1/w.) sum_i w_i (a_i - E_hat)^2
-    mu     = E_hat * sum_i w_i g_i
-    sigma  = w./(w.-1) * V_hat * sum_i w_i g_i g_i^T
-             - 1/(w.-1) * V_hat * (sum_i w_i g_i)(sum_i w_i g_i)^T
+    E_hat    = (1/w.) sum_i w_i a_i
+    V_hat    = (1/w.) sum_i w_i (a_i - E_hat)^2
+    mu       = E_hat * sum_i w_i g_i
+    sigma_kk = w./(w.-1) * V_hat * sum_i w_i g_ik^2
+               - 1/(w.-1) * V_hat * (sum_i w_i g_ik)^2
 
 with w. = sum_i w_i. The test statistic is the maximum absolute standardized
 coordinate c_max = max_k |T_k - mu_k| / sqrt(sigma_kk); p-values come from an
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DataError
 
-# sigma_kk at or below this is treated as a degenerate coordinate
+# a variance sigma_kk at or below this is treated as a degenerate coordinate
 VAR_TOL = 1e-10
 # relative slack for counting tied permutation statistics
 TIE_RTOL = 1e-8
@@ -56,12 +56,12 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class LinearStatistic:
-    """Observed statistic with its conditional moments (p-vector T and mu,
-    p x p covariance sigma)."""
+    """Observed statistic with its conditional moments (p-vectors T, mu and
+    var, the variances sigma_kk)."""
 
     T: np.ndarray
     mu: np.ndarray
-    sigma: np.ndarray
+    var: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,12 @@ def _as_design(g: np.ndarray) -> np.ndarray:
 
 
 def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStatistic:
-    """T, mu and sigma for the design g, scores a and case weights w.
+    """T, mu and var for the design g, scores a and case weights w.
 
     Requires total weight w. >= 2 (the permutation variance has a w.-1
-    denominator). Zero-weight observations contribute nothing, so dropping
-    them leaves the result unchanged exactly.
+    denominator). Zero-weight observations contribute nothing: dropping them
+    leaves the result unchanged up to rounding, since sums over fewer terms
+    may group them differently.
     """
     g = _as_design(g)
     a = np.asarray(a, dtype=float)
@@ -110,27 +111,26 @@ def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStati
     centered = a - e_hat
     v_hat = float(w @ (centered * centered)) / wsum
     mu = e_hat * g_sum
-    gram = wg.T @ g                # sum_i w_i g_i g_i^T
-    sigma = (wsum / (wsum - 1.0)) * v_hat * gram - (1.0 / (wsum - 1.0)) * v_hat * np.outer(
-        g_sum, g_sum
-    )
-    return LinearStatistic(T=T, mu=mu, sigma=sigma)
+    # exactly this product and grouping: they match the diagonal of the full
+    # covariance (tests/mc_oracle.py) bit for bit, and row sums of wg * g do not
+    gram_diag = np.diagonal(wg.T @ g)  # sum_i w_i g_ik^2
+    var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
+    return LinearStatistic(T=T, mu=mu, var=var)
 
 
 def standardize_max(ls: LinearStatistic) -> float:
-    """c_max = max_k |T_k - mu_k| / sqrt(sigma_kk), skipping coordinates with
-    sigma_kk <= 1e-10; 0.0 if every coordinate is skipped."""
-    diag = np.diagonal(ls.sigma)
-    keep = diag > VAR_TOL
+    """c_max = max_k |T_k - mu_k| / sqrt(var_k), skipping coordinates with
+    var_k <= 1e-10; 0.0 if every coordinate is skipped."""
+    keep = ls.var > VAR_TOL
     if not np.any(keep):
         return 0.0
-    z = np.abs(ls.T[keep] - ls.mu[keep]) / np.sqrt(diag[keep])
+    z = np.abs(ls.T[keep] - ls.mu[keep]) / np.sqrt(ls.var[keep])
     return float(z.max())
 
 
 def effective_dof(ls: LinearStatistic) -> int:
     """Number of non-degenerate coordinates entering c_max."""
-    return int(np.sum(np.diagonal(ls.sigma) > VAR_TOL))
+    return int(np.sum(ls.var > VAR_TOL))
 
 
 def _tail_poly(x: float) -> float:
@@ -220,10 +220,9 @@ def _count_hits(designs, stats, c_obs, a, slots, batches) -> list[int]:
     a_exp = a[slots]
     prepared = []
     for g, ls, c in zip(designs, stats, c_obs):
-        diag = np.diagonal(ls.sigma)
-        keep = diag > VAR_TOL
+        keep = ls.var > VAR_TOL
         threshold = c - TIE_RTOL * max(1.0, c)
-        prepared.append((g[slots], keep, ls.mu[keep], np.sqrt(diag[keep]), threshold))
+        prepared.append((g[slots], keep, ls.mu[keep], np.sqrt(ls.var[keep]), threshold))
     hits = [0] * len(prepared)
     for perms in batches:
         a_perm = a_exp[perms]

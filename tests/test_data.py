@@ -24,10 +24,9 @@ from survtree import (
     dataset_to_csv,
     load_csv,
     simulate_cohort,
-    subset_weights,
 )
 from survtree.data import _BLOCK, read_csv_columns, typed_column
-from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, predict_node, route
+from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, fit, predict_node, route
 from survtree.treedoc import document_to_tree, tree_to_document
 
 SCHEMA = Schema("time", "event", (ColumnSpec("meld"), ColumnSpec("sex")))
@@ -186,7 +185,7 @@ def test_response_only_load_ignores_covariate_cells(tmp_path):
     np.testing.assert_allclose(ds.response.time, [10, 30])
 
 
-# --- subset_weights ----------------------------------------------------------
+# --- split rules -------------------------------------------------------------
 
 
 def two_col_dataset(levels=("A", "B")):
@@ -196,33 +195,25 @@ def two_col_dataset(levels=("A", "B")):
     return Dataset((x, g), resp)
 
 
-def test_subset_weights_numeric():
+def holds(ds, rule):
+    cov = ds.covariate(rule.covariate)
+    return rule.holds(cov.values, cov.levels)
+
+
+def test_split_rule_holds_numeric():
+    np.testing.assert_array_equal(holds(two_col_dataset(), SplitRule("x", cutoff=2.0)), [True, True, False])
+
+
+def test_split_rule_holds_categorical():
     ds = two_col_dataset()
-    left, right = subset_weights(ds, np.array([1.0, 1.0, 1.0]), SplitRule("x", cutoff=2.0))
-    np.testing.assert_array_equal(left, [1, 1, 0])
-    np.testing.assert_array_equal(right, [0, 0, 1])
+    np.testing.assert_array_equal(holds(ds, SplitRule("g", subset=("A",))), [True, True, False])
+    np.testing.assert_array_equal(holds(ds, SplitRule("g", subset=("B",))), [False, False, True])
 
 
-def test_subset_weights_keeps_zeros():
-    ds = two_col_dataset()
-    left, right = subset_weights(ds, np.array([1.0, 0.0, 1.0]), SplitRule("x", cutoff=2.0))
-    np.testing.assert_array_equal(left, [1, 0, 0])
-    np.testing.assert_array_equal(right, [0, 0, 1])
-
-
-def test_subset_weights_categorical():
-    x = Covariate("g", CATEGORICAL, np.array([0, 1]), levels=("A", "B"))
-    resp = SurvivalResponse(np.array([1.0, 2.0]), np.array([True, False]))
-    ds = Dataset((x,), resp)
-    left, right = subset_weights(ds, np.array([2.0, 3.0]), SplitRule("g", subset=("A",)))
-    np.testing.assert_array_equal(left, [2, 0])
-    np.testing.assert_array_equal(right, [0, 3])
-
-
-def test_subset_weights_unknown_covariate():
-    ds = two_col_dataset()
-    with pytest.raises(DataError, match="unknown covariate"):
-        subset_weights(ds, np.ones(3), SplitRule("nope", cutoff=1.0))
+def test_fitted_tree_unknown_covariate():
+    tree = fit(two_col_dataset(), FitConfig())
+    with pytest.raises(DataError, match="unknown covariate 'nope'"):
+        tree.info("nope")
 
 
 def with_ordinal(ds):
@@ -231,10 +222,8 @@ def with_ordinal(ds):
     return Dataset(ds.covariates + (o,), ds.response)
 
 
-def test_subset_weights_ordinal_cut():
-    left, right = subset_weights(with_ordinal(two_col_dataset()), np.ones(3), SplitRule("o", cutoff=1.0))
-    np.testing.assert_array_equal(left, [1, 1, 0])
-    np.testing.assert_array_equal(right, [0, 0, 1])
+def test_split_rule_holds_ordinal_cut():
+    np.testing.assert_array_equal(holds(with_ordinal(two_col_dataset()), SplitRule("o", cutoff=1.0)), [True, True, False])
 
 
 @pytest.mark.parametrize(
@@ -253,25 +242,10 @@ def test_subset_weights_ordinal_cut():
         "subset-on-ordered", "cut-at-last-level",
     ],
 )
-def test_subset_weights_rejects_a_rule_that_does_not_fit(rule):
+def test_split_rule_check_rejects_a_rule_that_does_not_fit(rule):
+    tree = fit(with_ordinal(two_col_dataset()), FitConfig())
     with pytest.raises(DataError, match=f"does not fit .*covariate '{rule.covariate}'"):
-        subset_weights(with_ordinal(two_col_dataset()), np.ones(3), rule)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_subset_weights_non_finite_rejected(bad):
-    with pytest.raises(DataError, match="finite"):
-        subset_weights(two_col_dataset(), np.array([1.0, bad, 1.0]), SplitRule("x", cutoff=2.0))
-
-
-def test_subset_weights_partition_property(rng):
-    ds = two_col_dataset()
-    for _ in range(20):
-        w = rng.random(3) * 3
-        cut = float(rng.uniform(0, 4))
-        left, right = subset_weights(ds, w, SplitRule("x", cutoff=cut))
-        np.testing.assert_array_equal(left + right, w)
-        assert (left >= 0).all() and (right >= 0).all()
+        rule.check(tree.info(rule.covariate))
 
 
 def test_round_trip_csv(tmp_path, rng):

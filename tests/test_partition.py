@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_dataset, observation
 from mc_oracle import montecarlo_test
+from node_oracle import oracle_fit
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -21,7 +22,6 @@ from survtree import (
     encode_covariate,
     render_text,
     simulate_cohort,
-    subset_weights,
 )
 from survtree.partition import weighted_midranks
 
@@ -105,6 +105,14 @@ def test_best_split_tie_prefers_smaller_cutoff():
     scores = np.array([1.0, 0.0, 0.0, 1.0])
     rule = best_split(np.ones(4), cov, scores, FitConfig(minsplit=2, minbucket=1))
     assert rule.cutoff == 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_best_split_rejects_a_non_positive_weight(bad):
+    cov = Covariate("x", NUMERIC, np.array([1.0, 2.0, 3.0, 4.0]))
+    w = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(DataError, match="positive case weights"):
+        best_split(w, cov, np.array([1.0, 1.0, -1.0, -1.0]), FitConfig(minsplit=2, minbucket=1))
 
 
 def test_best_split_categorical_enumerates_subsets(rng):
@@ -394,11 +402,11 @@ def test_scores_recomputed_within_nodes(rng):
     tree = fit(ds, FitConfig(alpha=0.99, minsplit=10, minbucket=4))
     if tree.root.is_leaf:
         pytest.skip("no split under this seed")
-    child_weights, _ = subset_weights(ds, np.ones(ds.n), tree.root.split)
-    node_scores = logrank_scores(ds.response.time, ds.response.event, child_weights)
+    cov = ds.covariate(tree.root.split.covariate)
+    left = tree.root.split.holds(cov.values, cov.levels)
+    node_scores = logrank_scores(ds.response.time[left], ds.response.event[left])
     root_scores = logrank_scores(ds.response.time, ds.response.event)
-    active = child_weights > 0
-    assert not np.allclose(node_scores[active], root_scores[active])
+    assert not np.allclose(node_scores, root_scores[left])
 
 
 def test_null_type_one_control():
@@ -465,3 +473,74 @@ def test_underflowed_pvalues_ranked_by_log_pvalue():
     assert [test.p_adjusted for test in root.tests] == [0.0, 0.0]
     assert root.split.covariate == "strong"
     assert root.p_adjusted == 0.0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FitConfig(max_depth=1.5),
+        FitConfig(max_depth=True),
+        FitConfig(max_depth=np.int64(1)),
+        FitConfig(test=TestMethod("montecarlo", np.int64(19), 3)),
+        FitConfig(test=TestMethod("montecarlo", 19.0, 3)),
+        FitConfig(test=TestMethod("montecarlo", 19, True)),
+        FitConfig(test=TestMethod("asymptotic", 9999, 0.5)),
+    ],
+    ids=["float-depth", "bool-depth", "numpy-depth", "numpy-replicates", "float-replicates", "bool-seed", "float-seed"],
+)
+def test_config_a_tree_file_cannot_hold_is_rejected(config):
+    # load_tree accepts only JSON integers in these fields
+    with pytest.raises(FitError, match="int"):
+        config.validate()
+    with pytest.raises(FitError, match="int"):
+        fit(simulate_cohort(SimConfig(seed=1)), config)
+
+
+def _rows(ds, idx):
+    return Dataset(
+        tuple(Covariate(c.name, c.kind, c.values[idx], c.levels, c.ordered) for c in ds.covariates),
+        SurvivalResponse(ds.response.time[idx], ds.response.event[idx]),
+    )
+
+
+@pytest.mark.parametrize("test", [TestMethod(), TestMethod("montecarlo", 99, 4)], ids=["asymptotic", "mc"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zero_weight_rows_are_inert(test, seed):
+    # bit for bit, every c_max and p-value included
+    ds = simulate_cohort(SimConfig(seed=seed))
+    w = np.random.Generator(np.random.Philox(key=seed)).integers(0, 4, ds.n).astype(float)
+    keep = np.flatnonzero(w > 0)
+    cfg = FitConfig(alpha=0.5, test=test)
+    assert fit(ds, cfg, weights=w) == fit(_rows(ds, keep), cfg, weights=w[keep])
+
+
+def _assert_matches_node_oracle(ds, cfg):
+    tree, old = fit(ds, cfg), oracle_fit(ds, cfg)
+    assert tree.nodes.keys() == old.nodes.keys()
+    for nid, node in tree.nodes.items():
+        ref = old.nodes[nid]
+        for name in ("depth", "split", "children", "stop_reason", "n_effective", "events", "km_median"):
+            assert getattr(node, name) == getattr(ref, name), (nid, name)
+        assert (node.p_adjusted is None) == (ref.p_adjusted is None)
+        if node.p_adjusted is not None:
+            assert node.p_adjusted == pytest.approx(ref.p_adjusted, rel=1e-12, abs=0.0)
+            assert [t.covariate for t in node.tests] == [t.covariate for t in ref.tests]
+            for t, r in zip(node.tests, ref.tests):
+                assert abs(t.c_max - r.c_max) <= 1e-12 * max(1.0, r.c_max)
+
+
+@pytest.mark.parametrize(
+    "sim",
+    [{}, {"hazard_ratio": 1.0}, {"age_effect": (33.2, 2.0), "hcc_effect_ratio": 2.0}],
+    ids=["planted", "null", "age-hcc"],
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_node_local_fit_matches_full_n_oracle(sim, seed):
+    ds = simulate_cohort(SimConfig(seed=seed, **sim))
+    for cfg in (FitConfig(), FitConfig(alpha=0.5), FitConfig(test=TestMethod("montecarlo", 99, seed))):
+        _assert_matches_node_oracle(ds, cfg)
+
+
+def test_node_local_fit_matches_full_n_oracle_at_25k():
+    ds = simulate_cohort(SimConfig(n=25_000, seed=1, age_effect=(33.2, 2.0), hcc_effect_ratio=2.0))
+    _assert_matches_node_oracle(ds, FitConfig())
