@@ -30,17 +30,26 @@ def event_table(
 
     Returns (times, d, r): the sorted distinct times at which at least one
     weighted event occurs, the weighted event mass d(s) at each, and the
-    weighted at-risk count R(s) = sum of w_i over t_i >= s.
+    weighted at-risk count R(s) = sum of w_i over t_i >= s. Raises DataError
+    unless time, event and weights have equal length and the weights are
+    finite, non-negative and not all zero.
     """
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     weights = np.asarray(weights, dtype=float)
+    if time.shape != event.shape or time.shape != weights.shape:
+        raise DataError("time, event and weights must have equal length")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise DataError("case weights must be finite and non-negative")
+    total = weights.sum()
+    if total <= 0:
+        raise DataError("all case weights are zero")
 
     uniq, inverse = np.unique(time, return_inverse=True)
     d = np.bincount(inverse, weights=np.where(event, weights, 0.0), minlength=uniq.size)
     w_at = np.bincount(inverse, weights=weights, minlength=uniq.size)
     # R(s) = total weight minus weight at strictly earlier times
-    r = weights.sum() - np.concatenate(([0.0], np.cumsum(w_at)[:-1]))
+    r = total - np.concatenate(([0.0], np.cumsum(w_at)[:-1]))
     has_event = d > 0
     return uniq[has_event], d[has_event], r[has_event]
 
@@ -58,14 +67,6 @@ def logrank_scores(
     event = np.asarray(event, dtype=bool)
     if weights is None:
         weights = np.ones_like(time)
-    weights = np.asarray(weights, dtype=float)
-    if time.shape != event.shape or time.shape != weights.shape:
-        raise DataError("time, event and weights must have equal length")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise DataError("case weights must be finite and non-negative")
-    if weights.sum() <= 0:
-        raise DataError("all case weights are zero")
-
     ev_times, d, r = event_table(time, event, weights)
     if ev_times.size == 0:
         return np.zeros_like(time)

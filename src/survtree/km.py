@@ -6,39 +6,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .influence import event_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMCurve:
     """Product-limit survival curve.
 
-    `steps` holds one (time, survival) pair per distinct event time, i.e. the
-    value of the right-continuous step function just after each drop; the
-    curve is 1.0 before the first event time. `median` is the smallest step
-    time with survival <= 0.5, or None if the curve never reaches 0.5.
+    `times` holds the distinct event times in increasing order and
+    `survival` the value of the right-continuous step function just after
+    each drop; the curve is 1.0 before the first event time. `median` is the
+    smallest event time with survival <= 0.5, or None if the curve never
+    reaches 0.5. Curves compare by identity: compare `steps` for equal
+    values.
     """
 
-    steps: tuple[tuple[float, float], ...]
+    times: np.ndarray
+    survival: np.ndarray
     n_effective: float
     events: float
 
     @property
+    def steps(self) -> tuple[tuple[float, float], ...]:
+        """One (time, survival) pair per distinct event time."""
+        return tuple(zip(self.times.tolist(), self.survival.tolist()))
+
+    @property
     def median(self) -> float | None:
-        for t, s in self.steps:
-            if s <= 0.5:
-                return t
-        return None
+        below = np.flatnonzero(self.survival <= 0.5)
+        return float(self.times[below[0]]) if below.size else None
 
     def survival_at(self, t: float) -> float:
-        out = 1.0
-        for st, s in self.steps:
-            if st <= t:
-                out = s
-            else:
-                break
-        return out
+        k = np.count_nonzero(self.times <= t)  # event times reached by t
+        return float(self.survival[k - 1]) if k else 1.0
 
 
 def km_estimate(
@@ -50,17 +50,6 @@ def km_estimate(
     scores. Requires positive total weight.
     """
     time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    if weights is None:
-        weights = np.ones_like(time)
-    weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise DataError("case weights must be finite and non-negative")
-    total = weights.sum()
-    if total <= 0:
-        raise DataError("total case weight is zero")
-
-    ev_times, d, r = event_table(time, event, weights)
-    surv = np.cumprod(1.0 - d / r)
-    steps = tuple((float(t), float(s)) for t, s in zip(ev_times, surv))
-    return KMCurve(steps=steps, n_effective=float(total), events=float(d.sum()))
+    weights = np.ones_like(time) if weights is None else np.asarray(weights, dtype=float)
+    times, d, r = event_table(time, event, weights)
+    return KMCurve(times, np.cumprod(1.0 - d / r), float(weights.sum()), float(d.sum()))

@@ -108,6 +108,8 @@ class SimConfig:
                 raise DataError(f"{f.name} must be finite, got {value!r}")
         if self.n < 2:
             raise DataError(f"cohort size must be >= 2, got {self.n}")
+        if not 0 <= self.seed < 2**128:  # a Philox key
+            raise DataError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.hazard_ratio <= 0 or self.base_hazard <= 0:
             raise DataError("hazard_ratio and base_hazard must be positive")
         if not 0.0 < self.censor_fraction_target < 1.0:

@@ -84,38 +84,42 @@ def _as_design(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStatistic:
-    """T, mu and var for the design g, scores a and case weights w.
-
-    Requires total weight w. >= 2 (the permutation variance has a w.-1
-    denominator). Zero-weight observations contribute nothing: dropping them
-    leaves the result unchanged up to rounding, since sums over fewer terms
-    may group them differently.
-    """
-    g = _as_design(g)
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n, p = g.shape
-    if a.shape != (n,) or w.shape != (n,):
+def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> list[LinearStatistic]:
+    """T, mu and var for each n x p design. The float arrays a and w are
+    checked once (every design's n, weights finite and non-negative, w. >= 2:
+    the permutation variance has a w.-1 denominator) and their moments taken
+    once; each design adds only its own sums."""
+    if a.ndim != 1 or w.shape != a.shape or any(g.shape[0] != a.shape[0] for g in designs):
         raise DataError("design, scores and weights disagree in length")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DataError("case weights must be finite and non-negative")
     wsum = w.sum()
     if wsum < 2:
         raise DataError(f"total case weight {wsum} < 2: nothing to test")
-
-    wg = g * w[:, None]            # n x p
-    T = wg.T @ a                   # p
-    g_sum = wg.sum(axis=0)         # p
     e_hat = float(w @ a) / wsum
     centered = a - e_hat
     v_hat = float(w @ (centered * centered)) / wsum
-    mu = e_hat * g_sum
-    # exactly this product and grouping: they match the diagonal of the full
-    # covariance (tests/mc_oracle.py) bit for bit, and row sums of wg * g do not
-    gram_diag = np.diagonal(wg.T @ g)  # sum_i w_i g_ik^2
-    var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
-    return LinearStatistic(T=T, mu=mu, var=var)
+
+    stats = []
+    for g in designs:
+        wg = g * w[:, None]            # n x p
+        g_sum = wg.sum(axis=0)         # p
+        # exactly this product and grouping: they match the diagonal of the full
+        # covariance (tests/mc_oracle.py) bit for bit, and row sums of wg * g do not
+        gram_diag = np.diagonal(wg.T @ g)  # sum_i w_i g_ik^2
+        var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
+        stats.append(LinearStatistic(T=wg.T @ a, mu=e_hat * g_sum, var=var))
+    return stats
+
+
+def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStatistic:
+    """T, mu and var for the design g, scores a and case weights w.
+
+    Requires total weight w. >= 2. Zero-weight observations contribute
+    nothing: dropping them leaves the result unchanged up to rounding, since
+    sums over fewer terms may group them differently.
+    """
+    return _linear_statistics([_as_design(g)], np.asarray(a, dtype=float), np.asarray(w, dtype=float))[0]
 
 
 def standardize_max(ls: LinearStatistic) -> float:
@@ -255,7 +259,7 @@ def test_statistic(
     designs = [_as_design(g) for g in designs]
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    stats = [linear_statistic(g, a, w) for g in designs]
+    stats = _linear_statistics(designs, a, w)
     c_max = [standardize_max(ls) for ls in stats]
     dof = [effective_dof(ls) for ls in stats]
     if method == "asymptotic":

@@ -85,8 +85,14 @@ def test_simulate_config_not_utf8_exits_3(tmp_path, capsys):
         (["--age-effect", "33.2:inf"], "", "age_effect must be finite"),
         ([], "meld_threshold = nan\n", "meld_threshold must be finite"),
         ([], "labs_mode = maybe\n", "config key 'labs_mode': bad value 'maybe'"),
+        (["--seed", "-1"], "", "seed must be in [0, 2**128), got -1"),
+        (["--seed", str(2**128)], "", f"seed must be in [0, 2**128), got {2**128}"),
+        ([], "seed = -1\n", "seed must be in [0, 2**128), got -1"),
     ],
-    ids=["threshold-nan", "age-threshold-nan", "age-ratio-inf", "config-threshold-nan", "config-labs-mode"],
+    ids=[
+        "threshold-nan", "age-threshold-nan", "age-ratio-inf", "config-threshold-nan", "config-labs-mode",
+        "seed-negative", "seed-too-large", "config-seed-negative",
+    ],
 )
 def test_simulate_bad_config_value_exits_3(tmp_path, capsys, flags, config, message):
     # a non-finite threshold or ratio would silently remove the planted effect

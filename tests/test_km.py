@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_censored
 from survtree import DataError, km_estimate
+from survtree.influence import event_table
 
 
 def test_product_limit_by_hand():
@@ -85,3 +86,58 @@ def test_median_is_smallest_step_at_or_below_half():
         np.array([1.0, 2.0, 3.0, 4.0]), np.array([True, False, False, False])
     )
     assert curve2.median is None
+
+
+def _tuple_steps(time, event, weights):
+    """The (time, survival) tuples the curve was once stored as."""
+    ev_times, d, r = event_table(time, event, weights)
+    surv = np.cumprod(1.0 - d / r)
+    return tuple((float(t), float(s)) for t, s in zip(ev_times, surv))
+
+
+def _tuple_median(steps):
+    for t, s in steps:
+        if s <= 0.5:
+            return t
+    return None
+
+
+def _tuple_survival_at(steps, t):
+    out = 1.0
+    for st_, s in steps:
+        if st_ <= t:
+            out = s
+        else:
+            break
+    return out
+
+
+WEIGHTED_SAMPLES = st.lists(
+    st.tuples(st.integers(0, 6), st.booleans(), st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.0])),
+    min_size=1,
+    max_size=30,
+).filter(lambda rows: sum(w for _, _, w in rows) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEIGHTED_SAMPLES, st.booleans())
+def test_array_curve_matches_the_tuple_walk(rows, all_censored):
+    # few distinct times: ties between events, censorings and both
+    time = np.array([t * 1.5 for t, _, _ in rows])
+    event = np.array([e and not all_censored for _, e, _ in rows])
+    w = np.array([w for _, _, w in rows])
+    curve = km_estimate(time, event, w)
+    steps = _tuple_steps(time, event, w)
+    assert curve.steps == steps
+    assert curve.median == _tuple_median(steps)
+    event_times = [t for t, _ in steps]
+    between = [(a + b) / 2 for a, b in zip(event_times, event_times[1:])]
+    first = event_times[0] if event_times else 0.0
+    last = event_times[-1] if event_times else 0.0
+    for t in [first - 1.0, *event_times, *between, last + 1.0, *time.tolist()]:
+        assert curve.survival_at(t) == _tuple_survival_at(steps, t)
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(DataError, match="equal length"):
+        km_estimate(np.array([1.0, 2.0]), np.array([True, True]), np.ones(3))

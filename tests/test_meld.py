@@ -132,6 +132,13 @@ def test_simulate_validates_config():
         simulate_cohort(SimConfig(censor_fraction_target=1.0))
     with pytest.raises(DataError, match="probabilities"):
         simulate_cohort(SimConfig(etiology_probs=(("a", 0.5), ("b", 0.6))))
+    for seed in (-1, 2**128):  # outside the Philox key range
+        with pytest.raises(DataError, match="seed must be in"):
+            simulate_cohort(SimConfig(seed=seed))
+
+
+def test_simulate_accepts_the_largest_philox_key():
+    assert simulate_cohort(SimConfig(n=10, seed=2**128 - 1)).n == 10
 
 
 def test_config_file_parsing(tmp_path):

@@ -378,3 +378,30 @@ def test_log_pvalue_asymptotic_matches_log_of_p_before_underflow():
     assert pvalue_asymptotic(40.0, 1) == 0.0
     assert log_pvalue_asymptotic(40.0, 1) < log_pvalue_asymptotic(39.0, 1)
     assert log_pvalue_asymptotic(40.0, 2) > log_pvalue_asymptotic(40.0, 1)
+
+
+@pytest.mark.parametrize("short", [0, 1, 2])
+def test_node_test_rejects_a_short_design_in_any_position(rng, short):
+    designs = [rng.normal(size=6), _node_design("onehot", 6, rng), rng.normal(size=6)]
+    designs[short] = designs[short][:5]
+    with pytest.raises(DataError, match="disagree in length"):
+        permstat.test_statistic(designs, rng.normal(size=6), np.ones(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=DESIGN_KINDS,
+    weights=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=30).filter(lambda w: sum(w) >= 2),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_node_test_matches_each_designs_own_linear_statistic(kinds, weights, data_seed):
+    # the node's one moment pass gives every design the bits its own call gives
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    designs = [_node_design(k, n, rng) for k in kinds]
+    a = np.round(rng.normal(size=n), 1)
+    w = np.array(weights)
+    node = permstat.test_statistic(designs, a, w)
+    for g, (c_max, _, dof) in zip(designs, node):
+        ls = linear_statistic(g, a, w)
+        assert (c_max, dof) == (standardize_max(ls), effective_dof(ls))
