@@ -17,7 +17,7 @@ from .data import (
     load_csv,
 )
 from .errors import DataError, FitError
-from .influence import encode_covariate, identity_scores, logrank_scores
+from .influence import encode_covariate, logrank_scores
 from .km import KMCurve, km_estimate
 from .meld import MeldRecord, SimConfig, meld_score, simulate_cohort
 from .partition import (
@@ -67,7 +67,6 @@ __all__ = [
     "dataset_to_csv",
     "encode_covariate",
     "fit",
-    "identity_scores",
     "km_estimate",
     "linear_statistic",
     "load_csv",

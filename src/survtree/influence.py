@@ -67,7 +67,14 @@ def logrank_scores(
     event = np.asarray(event, dtype=bool)
     if weights is None:
         weights = np.ones_like(time)
-    ev_times, d, r = event_table(time, event, weights)
+    return table_scores(time, event, *event_table(time, event, weights))
+
+
+def table_scores(
+    time: np.ndarray, event: np.ndarray, ev_times: np.ndarray, d: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Log-rank scores of the rows (time, event) from their risk table
+    (ev_times, d, r), as `event_table` returns it."""
     if ev_times.size == 0:
         return np.zeros_like(time)
     cumhaz = np.cumsum(d / r)
@@ -75,18 +82,6 @@ def logrank_scores(
     pos = np.searchsorted(ev_times, time, side="right")
     lam = np.concatenate(([0.0], cumhaz))[pos]
     return np.where(event, 1.0, 0.0) - lam
-
-
-def identity_scores(y: np.ndarray) -> np.ndarray:
-    """Identity influence for a numeric response: a_i = y_i.
-
-    The simplest admissible scores; used to exercise the permutation engine
-    against closed-form cases.
-    """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DataError("numeric response must be finite")
-    return y.copy()
 
 
 def encode_covariate(cov: Covariate) -> np.ndarray:

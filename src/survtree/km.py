@@ -23,8 +23,6 @@ class KMCurve:
 
     times: np.ndarray
     survival: np.ndarray
-    n_effective: float
-    events: float
 
     @property
     def steps(self) -> tuple[tuple[float, float], ...]:
@@ -52,4 +50,4 @@ def km_estimate(
     time = np.asarray(time, dtype=float)
     weights = np.ones_like(time) if weights is None else np.asarray(weights, dtype=float)
     times, d, r = event_table(time, event, weights)
-    return KMCurve(times, np.cumprod(1.0 - d / r), float(weights.sum()), float(d.sum()))
+    return KMCurve(times, np.cumprod(1.0 - d / r))

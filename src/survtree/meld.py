@@ -4,7 +4,9 @@ The generator plants a piecewise-constant proportional-hazards structure: a
 single hazard jump for MELD at or above a threshold (default 16, ratio 3),
 with optional secondary multipliers for young age and hepatocellular
 carcinoma. Censoring times are exponential with a rate calibrated (by
-bisection, no randomness) so the expected event fraction matches the target.
+bisection, no randomness) so the expected event fraction matches the target;
+the bisection stops at its fixed point, within 200 steps, and its rate equals
+the full 200-step loop's bit for bit.
 Because the hazard jumps exactly at the threshold, the log-rank-optimal
 cut-point of the planted covariate IS the threshold, which makes recovery a
 sharp test for the tree fitter.
@@ -148,9 +150,18 @@ def _draw_levels(rng: np.random.Generator, probs: tuple[tuple[str, float], ...],
 
 def _censoring_rate(hazards: np.ndarray, event_target: float) -> float:
     """Exponential censoring rate mu with mean_i lambda_i/(lambda_i + mu)
-    equal to the target event fraction, found by bisection on log10(mu)."""
+    equal to the target event fraction, found by bisection on log10(mu).
+
+    Each step is a function of (lo, hi) alone, so the first step that leaves
+    both unchanged repeats forever: the loop stops there, within its bound of
+    200 steps (about 60 in practice), and returns the float the full 200
+    steps return, bit for bit. The mean is the pairwise sum over one division
+    by n, exactly as np.mean takes it.
+    """
+    n = hazards.size
+
     def frac(mu: float) -> float:
-        return float(np.mean(hazards / (hazards + mu)))
+        return float(np.add.reduce(hazards / (hazards + mu))) / n
 
     lo, hi = 1e-12, 1e6
     if not (frac(lo) >= event_target >= frac(hi)):
@@ -160,8 +171,12 @@ def _censoring_rate(hazards: np.ndarray, event_target: float) -> float:
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if frac(mid) > event_target:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return math.sqrt(lo * hi)
 

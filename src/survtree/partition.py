@@ -31,8 +31,8 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, typed_value, usable
 from .errors import DataError, FitError
-from .influence import encode_covariate, logrank_scores
-from .km import km_estimate
+from .influence import encode_covariate, event_table, table_scores
+from .km import KMCurve
 from .permstat import VAR_TOL, SplitTest, adjust_pvalues, log_pvalue_asymptotic, test_statistic
 
 MAX_CATEGORICAL_LEVELS = 10
@@ -55,6 +55,8 @@ class TestMethod:
         for name, value in (("replicates", self.replicates), ("seed", self.seed)):
             if type(value) is not int:  # as a tree file stores it: not a bool, float or numpy int
                 raise FitError(f"{name} must be an int, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # the low word of every replicate's Philox key
+            raise FitError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.name == "montecarlo" and self.replicates < 1:
             raise FitError("montecarlo needs at least 1 replicate")
 
@@ -271,12 +273,14 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         time, event = ds.response.time[rows], ds.response.event[rows]
         n_eff = float(w.sum())
         events_w = float(w[event].sum())
+        table = event_table(time, event, w)  # feeds the KM median and the log-rank scores
+        ev_times, d, r = table
         base = dict(
             id=nid,
             depth=depth,
             n_effective=n_eff,
             events=events_w,
-            km_median=km_estimate(time, event, w).median,
+            km_median=KMCurve(ev_times, np.cumprod(1.0 - d / r)).median,
         )
 
         if cfg.max_depth is not None and depth >= cfg.max_depth:
@@ -286,7 +290,7 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
             nodes[nid] = TreeNode(**base, stop_reason="minsplit")
             continue
 
-        scores = logrank_scores(time, event, w)
+        scores = table_scores(time, event, *table)
         try:
             raw = test_statistic(
                 [s[rows] if s.ndim == 2 else weighted_midranks(s[rows], w).reshape(-1, 1) for s in sources],

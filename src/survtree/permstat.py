@@ -20,12 +20,13 @@ asymptotic normal approximation, seeded Monte-Carlo resampling, or exact
 enumeration over all permutations.
 
 Determinism: Monte-Carlo replicate b draws from a numpy Philox stream keyed
-by key = seed + (b+1) * 2^64, so the returned p-value depends only on
-(inputs, seed, B), never on evaluation order. Because replicate b depends
-only on (seed, b, n_exp), it is the same permutation for every covariate of
-a node: test_statistic takes all of a node's designs, draws one permutation
-set (Monte-Carlo replicates or, for exact, every permutation), and scores
-each design on it in one resampling loop. Replicate comparisons use
+by key = seed + (b+1) * 2^64, with seed in [0, 2^64), so the returned
+p-value depends only on (inputs, seed, B), never on evaluation order.
+Because replicate b depends only on (seed, b, n_exp), it is the same
+permutation for every covariate of a node: test_statistic takes all of a
+node's designs, draws one permutation set (Monte-Carlo replicates or, for
+exact, every permutation), and scores each design on it in one resampling
+loop. Replicate comparisons use
 c >= c_obs - 1e-8*max(1, c_obs): permutation ties are counted as "at least as
 extreme" without float-rounding fragility, which can only enlarge p-values.
 
@@ -50,8 +51,6 @@ VAR_TOL = 1e-10
 TIE_RTOL = 1e-8
 # exact enumeration bound: at most this many (expanded) observations
 EXACT_MAX_N = 10
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ def _philox_permutations(n_exp: int, B: int, seed: int):
     range(n_exp) drawn from the Philox stream keyed seed + (b+1) * 2^64.
     One Philox is reset to each key and one buffer is refilled in place, so
     a batch is valid until the next."""
-    bit_generator = np.random.Philox(key=int(seed) & _MASK64)
+    bit_generator = np.random.Philox(key=int(seed))
     state = bit_generator.state  # key (seed, 0), counter and buffer as built
     key = state["state"]["key"]
     rng = np.random.Generator(bit_generator)
@@ -256,6 +255,8 @@ def test_statistic(
         raise DataError(f"unknown test method {method!r}")
     if method == "montecarlo" and replicates < 1:
         raise DataError("need at least one Monte-Carlo replicate")
+    if method == "montecarlo" and not 0 <= seed < 2**64:  # the key's low word
+        raise DataError(f"Monte-Carlo seed must be in [0, 2**64), got {seed}")
     designs = [_as_design(g) for g in designs]
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -172,6 +172,42 @@ def test_fit_montecarlo_seed_recorded(tmp_path):
     assert doc["config"]["test"]["method"] == "montecarlo"
 
 
+SEEDS_OUTSIDE_RANGE = pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+
+
+@SEEDS_OUTSIDE_RANGE
+def test_fit_montecarlo_seed_outside_its_range_exits_4(tmp_path, capsys, seed):
+    # seeds key Philox streams by their low 64 bits: -1 would alias 2**64 - 1
+    data = simulate(tmp_path)
+    out = tmp_path / "mc.json"
+    code = run("fit", "--data", data, "--time", "time", "--event", "event",
+               "--covariates", COVARIATES, "--test", f"mc:19:{seed}", "--out", str(out))
+    assert code == 4
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@SEEDS_OUTSIDE_RANGE
+def test_tree_file_with_seed_outside_its_range_exits_3(tmp_path, capsys, seed):
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1", "--test", "mc:19:5")
+    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc["config"]["test"]["seed"] = seed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "t.dot"
+    assert run("export-dot", "--tree", str(bad), "--out", str(out)) == 3
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_accepts_the_largest_montecarlo_seed(tmp_path, capsys):
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1", "--test", f"mc:19:{2**64 - 1}")
+    assert json.load(open(tree_path, encoding="utf-8"))["config"]["test"]["seed"] == 2**64 - 1
+    assert run("export-dot", "--tree", tree_path, "--out", str(tmp_path / "t.dot")) == 0
+
+
 def test_export_dot_structure(tmp_path):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1")

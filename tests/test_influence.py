@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import make_censored
 from survtree import (
@@ -10,7 +8,6 @@ from survtree import (
     Covariate,
     DataError,
     encode_covariate,
-    identity_scores,
     logrank_scores,
 )
 
@@ -80,19 +77,6 @@ def test_tied_times_events_before_censoring():
     event = np.array([True, False, False])
     a = logrank_scores(time, event)
     np.testing.assert_allclose(a, [1 - 1 / 3, -1 / 3, -1 / 3], atol=1e-12)
-
-
-@given(
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30)
-)
-def test_identity_scores_are_identity(ys):
-    y = np.array(ys)
-    np.testing.assert_array_equal(identity_scores(y), y)
-
-
-def test_identity_scores_reject_nonfinite():
-    with pytest.raises(DataError):
-        identity_scores(np.array([1.0, np.nan]))
 
 
 def test_encode_numeric_is_column():

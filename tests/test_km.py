@@ -12,7 +12,6 @@ def test_product_limit_by_hand():
     curve = km_estimate(np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, True))
     assert curve.steps == ((1.0, 0.75), (2.0, 0.5), (3.0, 0.25), (4.0, 0.0))
     assert curve.median == 2.0
-    assert curve.events == 4.0
 
 
 def test_all_censored_curve_stays_at_one():

@@ -1,5 +1,11 @@
+import math
+import types
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import csv_text
 from survtree import (
@@ -12,6 +18,7 @@ from survtree import (
     meld_score,
     simulate_cohort,
 )
+from survtree import meld
 from survtree.data import ColumnSpec, Schema
 from survtree.meld import read_config_file, simconfig_from_strings
 
@@ -166,3 +173,66 @@ def test_config_file_rejects_unknown_key(tmp_path):
 def test_config_age_effect_needs_both_keys():
     with pytest.raises(DataError, match="together"):
         simconfig_from_strings({"age_effect_threshold": "33.2"})
+
+
+def _full_bisection_rate(hazards: np.ndarray, event_target: float) -> float:
+    """The censoring rate as the full 200-step bisection through np.mean
+    computes it: the oracle for meld._censoring_rate."""
+    def frac(mu: float) -> float:
+        return float(np.mean(hazards / (hazards + mu)))
+
+    lo, hi = 1e-12, 1e6
+    if not (frac(lo) >= event_target >= frac(hi)):
+        raise DataError(
+            f"censoring target {1 - event_target:.3f} infeasible for these hazards"
+        )
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if frac(mid) > event_target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def _hazards(kind: str, n: int, seed: int) -> np.ndarray:
+    """Per-row hazards: a few distinct levels, as the generator's planted
+    ratios give, or continuous lognormal ones."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if kind == "levels":
+        levels = 5e-4 * np.exp(rng.uniform(-3.0, 3.0, int(rng.integers(1, 5))))
+        return levels[rng.integers(0, levels.size, n)]
+    return rng.lognormal(math.log(5e-4), rng.uniform(0.0, 3.0), n)
+
+
+def _outcome(rate, hazards, target):
+    try:
+        return rate(hazards, target)
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["levels", "lognormal"]),
+    n=st.integers(2, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    target=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(kind="levels", n=529, seed=1, target=0.36)
+@example(kind="levels", n=2, seed=1, target=1.0 - 1e-12)  # infeasible: above frac(1e-12)
+@example(kind="lognormal", n=2, seed=1, target=1e-300)  # infeasible: below frac(1e6)
+def test_censoring_rate_matches_full_bisection(kind, n, seed, target):
+    hazards = _hazards(kind, n, seed)
+    calls = []
+
+    def sqrt(x):
+        calls.append(x)
+        return math.sqrt(x)
+
+    with mock.patch.object(meld, "math", types.SimpleNamespace(sqrt=sqrt)):
+        got = _outcome(meld._censoring_rate, hazards, target)
+    want = _outcome(_full_bisection_rate, hazards, target)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert len(calls) - 1 <= 64  # bisection steps before the fixed point

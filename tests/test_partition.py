@@ -496,6 +496,21 @@ def test_config_a_tree_file_cannot_hold_is_rejected(config):
         fit(simulate_cohort(SimConfig(seed=1)), config)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+@pytest.mark.parametrize("method", ["montecarlo", "asymptotic"])
+def test_seed_outside_its_range_is_rejected(method, seed):
+    # the seed is the low word of a 128-bit Philox key
+    config = FitConfig(test=TestMethod(method, 19, seed))
+    with pytest.raises(FitError, match=r"seed must be in \[0, 2\*\*64\)"):
+        config.validate()
+    with pytest.raises(FitError, match=r"seed must be in \[0, 2\*\*64\)"):
+        fit(simulate_cohort(SimConfig(seed=1)), config)
+
+
+def test_largest_seed_is_accepted():
+    FitConfig(test=TestMethod("montecarlo", 19, 2**64 - 1)).validate()
+
+
 def _rows(ds, idx):
     return Dataset(
         tuple(Covariate(c.name, c.kind, c.values[idx], c.levels, c.ordered) for c in ds.covariates),

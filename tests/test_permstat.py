@@ -171,6 +171,28 @@ def test_pvalue_montecarlo_tie_accounting_extreme_case():
     assert p >= 1 / (B + 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_pvalue_montecarlo_rejects_seed_outside_its_range(seed):
+    with pytest.raises(DataError, match=r"seed must be in \[0, 2\*\*64\)"):
+        pvalue_montecarlo(np.arange(4.0), np.arange(4.0), np.ones(4), 9, seed)
+
+
+def test_pvalue_montecarlo_largest_seed_keys_its_own_stream():
+    g = [1.0, 2.0, 3.0, 4.0]
+    a = [10.0, 20.0, 30.0, 40.0]
+    seed = 2**64 - 1
+    p = pvalue_montecarlo(np.array(g), np.array(a), np.ones(4), 99, seed)
+    c_obs = brute_force_cmax([[x] for x in g], a)
+    hits = sum(
+        brute_force_cmax([[x] for x in g], [a[i] for i in perm]) >= c_obs - TIE_RTOL * max(1.0, c_obs)
+        for perm in (
+            np.random.Generator(np.random.Philox(key=seed + ((b + 1) << 64))).permutation(4)
+            for b in range(99)
+        )
+    )
+    assert p == (1 + hits) / 100
+
+
 def test_pvalue_montecarlo_non_integer_weights():
     with pytest.raises(DataError, match="integer"):
         pvalue_montecarlo(np.arange(3.0), np.arange(3.0), np.array([1.0, 0.5, 1.0]), 99, 1)

@@ -3,7 +3,10 @@
 simulate --seed 1 -> fit on all seven covariates (asymptotic and mc:999:7)
 -> export-dot, predict and km. Every artifact and fit's stdout is pinned by
 its sha256, so a refactor of the fitting code that claims to keep every byte
-is checked on the files a user actually gets. The digests follow from
+is checked on the files a user actually gets. `simulate`'s cohort CSV is
+pinned on its own for five generator configs (default, a 25,000-row cohort
+with age and HCC effects, two censoring targets and labs mode), so a change
+to the generator that claims the same bytes is checked too. The digests follow from
 numpy's floating-point reductions; a numpy build that sums differently may
 move them, and then every pin here moves together.
 """
@@ -37,6 +40,18 @@ PINNED = {
 }
 
 
+COHORT_PINNED = {
+    "default": ([], "fc16cce55bda1e37fdb06533a1597ca62d3a90e21a7d3c76df13aea427f81171"),
+    "n25000-age-hcc": (
+        ["--n", "25000", "--age-effect", "33.2:2", "--hcc-effect", "2"],
+        "db34869be60ba6ec3b1827a1ec5ff2e906d8c6cbb6261ffe6cb7f868b916a812",
+    ),
+    "censor-0.1": (["--censor-frac", "0.1"], "3b16d38ab3469d530e78457933579771efa4f59264b9f101b97b525793ea4354"),
+    "censor-0.9": (["--censor-frac", "0.9"], "c8099ee52206e77c9d5b7e8629d7032c7a937e79189aca1ff8ff5307baa4a1fe"),
+    "labs-mode": (["--labs-mode"], "ae26192c683584e2675dd9d5fcca93e03dd1871c55c805f4c122a7342cb0d648"),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -63,3 +78,12 @@ def _pipeline(tmp_path, capsys, test: str) -> dict[str, str]:
 @pytest.mark.parametrize("test", sorted(PINNED))
 def test_pipeline_artifacts_are_pinned(tmp_path, capsys, test):
     assert _pipeline(tmp_path, capsys, test) == PINNED[test]
+
+
+@pytest.mark.parametrize("config", sorted(COHORT_PINNED))
+def test_simulated_cohort_is_pinned(tmp_path, capsys, config):
+    args, digest = COHORT_PINNED[config]
+    cohort = tmp_path / "cohort.csv"
+    assert main(["simulate", "--seed", "1", *args, "--out", str(cohort)]) == 0
+    capsys.readouterr()
+    assert _sha256(cohort.read_bytes()) == digest
