@@ -22,7 +22,6 @@ from .km import KMCurve, km_estimate
 from .meld import MeldRecord, SimConfig, meld_score, simulate_cohort
 from .partition import (
     FitConfig,
-    TestMethod,
     Tree,
     TreeNode,
     best_split,
@@ -33,13 +32,10 @@ from .partition import (
 from .permstat import (
     LinearStatistic,
     SplitTest,
+    TestMethod,
     adjust_pvalues,
-    linear_statistic,
-    normal_cdf,
     pvalue_asymptotic,
-    pvalue_exact,
-    pvalue_montecarlo,
-    standardize_max,
+    test_statistic,
 )
 
 __all__ = [
@@ -68,16 +64,12 @@ __all__ = [
     "encode_covariate",
     "fit",
     "km_estimate",
-    "linear_statistic",
     "load_csv",
     "logrank_scores",
     "meld_score",
-    "normal_cdf",
     "predict_node",
     "pvalue_asymptotic",
-    "pvalue_exact",
-    "pvalue_montecarlo",
     "render_text",
     "simulate_cohort",
-    "standardize_max",
+    "test_statistic",
 ]

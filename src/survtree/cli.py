@@ -22,7 +22,8 @@ from .data import ColumnSpec, Schema, dataset_to_csv, load_csv, read_csv_columns
 from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
-from .partition import FitConfig, TestMethod, Tree, fit, render_text, route
+from .partition import FitConfig, Tree, fit, render_text, route
+from .permstat import TestMethod
 from .treedoc import dumps_canonical, load_tree, open_atomic, tree_to_document, tree_to_dot, write_atomic
 
 _KIND_ALIASES = {"num": "numeric", "cat": "categorical", "ord": "ordinal"}

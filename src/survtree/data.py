@@ -224,6 +224,28 @@ def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]
     return columns, n
 
 
+def _where(path: str, record: int) -> str:
+    """"path:line", the line on which data row `record` (0-based) starts,
+    counting rows as read_csv_columns does (blank lines skipped, a quoted
+    cell may hold line breaks). The file is read again only to word an
+    error, so a load keeps no line table; where it cannot be (a pipe),
+    "path: data row n", n counted from 1."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)  # the header
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if record == 0:
+                        return f"{path}:{start}"
+                    record -= 1
+                start = reader.line_num + 1
+    except (OSError, UnicodeDecodeError, csv.Error):
+        pass
+    return f"{path}: data row {record + 1}"
+
+
 def typed_value(value, levels: tuple[str, ...] | None = None) -> float | int:
     """A CSV cell, or a value in its place, typed: without `levels`, a finite
     `float()` of it or NaN; with them, the index of its stripped text among
@@ -267,17 +289,18 @@ def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.
 def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Times as typed_column floats and event flags as 1.0/0.0, NaN where the
     event cell is blank. An event cell outside {0, 1, true, false} (any case)
-    or a negative time is a DataError naming the first such line (the event
-    first), whether or not the row would be dropped: invalid values are data
-    bugs, not missingness."""
+    or a negative time is a DataError naming the line of `path` on which the
+    first such row starts (`_where`; the event first), whether or not the
+    row would be dropped: invalid values are data bugs, not missingness."""
     time = typed_column(time_cells)
     event = _by_distinct(event_cells, lambda c: _EVENT_FLAGS.get(c.strip().lower(), -1.0), float)
     bad = np.flatnonzero((event < 0) | (time < 0))
     if bad.size:
         i = int(bad[0])
+        where = _where(path, i)
         if event[i] < 0:
-            raise DataError(f"{path}:{i + 2}: event value {event_cells[i]!r} not in {{0, 1, true, false}}")
-        raise DataError(f"{path}:{i + 2}: negative time {time_cells[i]!r}")
+            raise DataError(f"{where}: event value {event_cells[i]!r} not in {{0, 1, true, false}}")
+        raise DataError(f"{where}: negative time {time_cells[i]!r}")
     return time, event
 
 
@@ -363,9 +386,15 @@ def dataset_to_csv(ds: Dataset, fh) -> None:
     """Write a Dataset, a block of rows at a time, to the text handle `fh` in
     the CSV dialect load_csv reads (covariates in declared order, then
     time,event). Floats use repr and cells are quoted only where needed, so
-    a load_csv round trip is lossless (`CovariateInfo` keeps levels readable)."""
+    a load_csv round trip is lossless (`CovariateInfo` keeps levels readable).
+    A covariate named "time" or "event" would repeat a header name, which
+    load_csv refuses: it is a DataError, raised before anything is written."""
+    header = [c.name for c in ds.covariates] + ["time", "event"]
+    for name in header[:-2]:
+        if name in ("time", "event"):
+            raise DataError(f"covariate {name!r} has the name of a response column")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([c.name for c in ds.covariates] + ["time", "event"])
+    writer.writerow(header)
     columns = [(c.values, c.levels) for c in ds.covariates]
     columns += [(ds.response.time, None), (ds.response.event.astype(np.int64), ("0", "1"))]
     for start in range(0, ds.n, _BLOCK):

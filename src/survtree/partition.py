@@ -33,32 +33,9 @@ from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, Split
 from .errors import DataError, FitError
 from .influence import encode_covariate, event_table, table_scores
 from .km import KMCurve
-from .permstat import VAR_TOL, SplitTest, adjust_pvalues, log_pvalue_asymptotic, test_statistic
+from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, log_pvalue_asymptotic, test_statistic
 
 MAX_CATEGORICAL_LEVELS = 10
-
-
-@dataclass(frozen=True)
-class TestMethod:
-    """How per-covariate p-values are computed: "asymptotic", "montecarlo"
-    (with replicate count and seed), or "exact"."""
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    name: str = "asymptotic"
-    replicates: int = 9999
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.name not in ("asymptotic", "montecarlo", "exact"):
-            raise FitError(f"unknown test method {self.name!r}")
-        for name, value in (("replicates", self.replicates), ("seed", self.seed)):
-            if type(value) is not int:  # as a tree file stores it: not a bool, float or numpy int
-                raise FitError(f"{name} must be an int, got {value!r}")
-        if not 0 <= self.seed < 2**64:  # the low word of every replicate's Philox key
-            raise FitError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.name == "montecarlo" and self.replicates < 1:
-            raise FitError("montecarlo needs at least 1 replicate")
 
 
 @dataclass(frozen=True)
@@ -292,14 +269,8 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
 
         scores = table_scores(time, event, *table)
         try:
-            raw = test_statistic(
-                [s[rows] if s.ndim == 2 else weighted_midranks(s[rows], w).reshape(-1, 1) for s in sources],
-                scores,
-                w,
-                cfg.test.name,
-                cfg.test.replicates,
-                cfg.test.seed,
-            )
+            designs = [s[rows] if s.ndim == 2 else weighted_midranks(s[rows], w).reshape(-1, 1) for s in sources]
+            raw = test_statistic(designs, scores, w, cfg.test)
         except DataError as exc:
             raise FitError(f"node {nid}: {exc}") from exc
         p_adj = adjust_pvalues(np.array([p for _, p, _ in raw]))

@@ -15,24 +15,27 @@ coordinates under random permutation of the scores given the weights are
                - 1/(w.-1) * V_hat * (sum_i w_i g_ik)^2
 
 with w. = sum_i w_i. The test statistic is the maximum absolute standardized
-coordinate c_max = max_k |T_k - mu_k| / sqrt(sigma_kk); p-values come from an
-asymptotic normal approximation, seeded Monte-Carlo resampling, or exact
-enumeration over all permutations.
+coordinate c_max = max_k |T_k - mu_k| / sqrt(sigma_kk). A TestMethod says
+how p-values are computed: by an asymptotic normal approximation, seeded
+Monte-Carlo resampling, or exact enumeration over all permutations.
+test_statistic is the one entry point: it checks the TestMethod (the rule a
+fit's config and a tree file's config are checked by) and tests every
+design of a node.
 
 Determinism: Monte-Carlo replicate b draws from a numpy Philox stream keyed
 by key = seed + (b+1) * 2^64, with seed in [0, 2^64), so the returned
 p-value depends only on (inputs, seed, B), never on evaluation order.
 Because replicate b depends only on (seed, b, n_exp), it is the same
-permutation for every covariate of a node: test_statistic takes all of a
-node's designs, draws one permutation set (Monte-Carlo replicates or, for
-exact, every permutation), and scores each design on it in one resampling
-loop. Replicate comparisons use
-c >= c_obs - 1e-8*max(1, c_obs): permutation ties are counted as "at least as
-extreme" without float-rounding fragility, which can only enlarge p-values.
+permutation for every covariate of a node: test_statistic draws one
+permutation set (Monte-Carlo replicates or, for exact, every permutation)
+and scores each design on it in one resampling loop. Replicate comparisons
+use c >= c_obs - 1e-8*max(1, c_obs): permutation ties are counted as "at
+least as extreme" without float-rounding fragility, which can only enlarge
+p-values.
 
-The standard normal CDF is evaluated with the Abramowitz & Stegun 26.2.17
-rational approximation (absolute error < 7.5e-8); no statistics library is
-involved anywhere in this module.
+The standard normal upper tail is evaluated with the Abramowitz & Stegun
+26.2.17 rational approximation (absolute error < 7.5e-8); no statistics
+library is involved anywhere in this module.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, FitError
 
 # a variance sigma_kk at or below this is treated as a degenerate coordinate
 VAR_TOL = 1e-10
@@ -72,6 +75,29 @@ class SplitTest:
     p_raw: float
     p_adjusted: float
     method: str
+
+
+@dataclass(frozen=True)
+class TestMethod:
+    """How per-covariate p-values are computed: "asymptotic", "montecarlo"
+    (with replicate count and seed), or "exact"."""
+
+    __test__ = False  # keep pytest from collecting this as a test class
+
+    name: str = "asymptotic"
+    replicates: int = 9999
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.name not in ("asymptotic", "montecarlo", "exact"):
+            raise FitError(f"unknown test method {self.name!r}")
+        for name, value in (("replicates", self.replicates), ("seed", self.seed)):
+            if type(value) is not int:  # as a tree file stores it: not a bool, float or numpy int
+                raise FitError(f"{name} must be an int, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # the low word of every replicate's Philox key
+            raise FitError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.name == "montecarlo" and self.replicates < 1:
+            raise FitError("montecarlo needs at least 1 replicate")
 
 
 def _as_design(g: np.ndarray) -> np.ndarray:
@@ -111,31 +137,6 @@ def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) 
     return stats
 
 
-def linear_statistic(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> LinearStatistic:
-    """T, mu and var for the design g, scores a and case weights w.
-
-    Requires total weight w. >= 2. Zero-weight observations contribute
-    nothing: dropping them leaves the result unchanged up to rounding, since
-    sums over fewer terms may group them differently.
-    """
-    return _linear_statistics([_as_design(g)], np.asarray(a, dtype=float), np.asarray(w, dtype=float))[0]
-
-
-def standardize_max(ls: LinearStatistic) -> float:
-    """c_max = max_k |T_k - mu_k| / sqrt(var_k), skipping coordinates with
-    var_k <= 1e-10; 0.0 if every coordinate is skipped."""
-    keep = ls.var > VAR_TOL
-    if not np.any(keep):
-        return 0.0
-    z = np.abs(ls.T[keep] - ls.mu[keep]) / np.sqrt(ls.var[keep])
-    return float(z.max())
-
-
-def effective_dof(ls: LinearStatistic) -> int:
-    """Number of non-degenerate coordinates entering c_max."""
-    return int(np.sum(ls.var > VAR_TOL))
-
-
 def _tail_poly(x: float) -> float:
     """The rational factor of Abramowitz & Stegun 26.2.17 at x >= 0."""
     t = 1.0 / (1.0 + 0.2316419 * x)
@@ -149,12 +150,6 @@ def _normal_upper_tail(x: float) -> float:
     """Q(x) = 1 - Phi(x) for x >= 0, via Abramowitz & Stegun 26.2.17
     (|err| < 7.5e-8). Evaluated directly so tiny tails keep full precision."""
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * _tail_poly(x)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via Abramowitz & Stegun 26.2.17 (|err| < 7.5e-8)."""
-    q = _normal_upper_tail(abs(x))
-    return 1.0 - q if x >= 0 else q
 
 
 def pvalue_asymptotic(c_max: float, dof: int) -> float:
@@ -216,16 +211,16 @@ def _all_permutations(n_exp: int):
         yield np.array(chunk, dtype=np.int64)
 
 
-def _count_hits(designs, stats, c_obs, a, slots, batches) -> list[int]:
+def _count_hits(designs, kept, c_obs, a, slots, batches) -> list[int]:
     """Per design, how many permuted score rows (batches of index rows over
     the expanded multiset `slots`) reach its observed c_max, ties counted
-    with TIE_RTOL slack. Each batch is scored against every design."""
+    with TIE_RTOL slack. `kept` holds each design's (keep, mu, sd) over its
+    non-degenerate coordinates. Each batch is scored against every design."""
     a_exp = a[slots]
-    prepared = []
-    for g, ls, c in zip(designs, stats, c_obs):
-        keep = ls.var > VAR_TOL
-        threshold = c - TIE_RTOL * max(1.0, c)
-        prepared.append((g[slots], keep, ls.mu[keep], np.sqrt(ls.var[keep]), threshold))
+    prepared = [
+        (g[slots], keep, mu, sd, c - TIE_RTOL * max(1.0, c))
+        for g, (keep, mu, sd), c in zip(designs, kept, c_obs)
+    ]
     hits = [0] * len(prepared)
     for perms in batches:
         a_perm = a_exp[perms]
@@ -237,33 +232,34 @@ def _count_hits(designs, stats, c_obs, a, slots, batches) -> list[int]:
 
 
 def test_statistic(
-    designs: list[np.ndarray],
-    a: np.ndarray,
-    w: np.ndarray,
-    method: str = "asymptotic",
-    replicates: int = 9999,
-    seed: int = 0,
+    designs: list[np.ndarray], a: np.ndarray, w: np.ndarray, method: TestMethod = TestMethod()
 ) -> list[tuple[float, float, int]]:
     """(c_max, raw p-value, dof) for each of a node's selection designs
-    under the chosen method; dof counts the non-degenerate coordinates.
+    (n x p, or n-vectors for p = 1) against scores a under case weights w,
+    with p-values by `method` (FitError where `TestMethod.validate` refuses
+    it). c_max = max_k |T_k - mu_k| / sqrt(var_k) over the coordinates with
+    var_k > VAR_TOL, and dof counts them; with none, c_max is 0.0 and p 1.
 
-    Resampling draws one permutation set for the node and scores every
-    design on it. Integer weights are required for "montecarlo" and
-    "exact", and "exact" caps the expanded size at EXACT_MAX_N.
+    Resampling permutes the scores over the weight-expanded index multiset
+    (unit weights: the n! score permutations), draws one permutation set for
+    the node and scores every design on it: "montecarlo" gives
+    (1 + #{c_b >= c_max}) / (B + 1) over its B replicates, "exact" the
+    share of all permutations with c_b >= c_max, ties counted as >=. Both
+    need integer weights, and "exact" at most EXACT_MAX_N expanded
+    observations (DataError otherwise).
     """
-    if method not in ("asymptotic", "montecarlo", "exact"):
-        raise DataError(f"unknown test method {method!r}")
-    if method == "montecarlo" and replicates < 1:
-        raise DataError("need at least one Monte-Carlo replicate")
-    if method == "montecarlo" and not 0 <= seed < 2**64:  # the key's low word
-        raise DataError(f"Monte-Carlo seed must be in [0, 2**64), got {seed}")
+    method.validate()
     designs = [_as_design(g) for g in designs]
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    stats = _linear_statistics(designs, a, w)
-    c_max = [standardize_max(ls) for ls in stats]
-    dof = [effective_dof(ls) for ls in stats]
-    if method == "asymptotic":
+    kept, c_max, dof = [], [], []  # per design, over its non-degenerate coordinates
+    for ls in _linear_statistics(designs, a, w):
+        keep = ls.var > VAR_TOL
+        mu, sd = ls.mu[keep], np.sqrt(ls.var[keep])
+        kept.append((keep, mu, sd))
+        c_max.append(float((np.abs(ls.T[keep] - mu) / sd).max(initial=0.0)))
+        dof.append(int(np.sum(keep)))
+    if method.name == "asymptotic":
         p_raw = [pvalue_asymptotic(c, k) for c, k in zip(c_max, dof)]
         return list(zip(c_max, p_raw, dof))
 
@@ -271,36 +267,16 @@ def test_statistic(
         raise DataError("resampling requires integer case weights")
     slots = np.repeat(np.arange(w.shape[0]), w.astype(np.int64))  # weight-expanded
     n_exp = slots.shape[0]
-    if method == "montecarlo":
-        batches = _philox_permutations(n_exp, replicates, seed)
-        hits = _count_hits(designs, stats, c_max, a, slots, batches)
-        p_raw = [(1.0 + h) / (replicates + 1.0) for h in hits]
+    if method.name == "montecarlo":
+        batches = _philox_permutations(n_exp, method.replicates, method.seed)
+        hits = _count_hits(designs, kept, c_max, a, slots, batches)
+        p_raw = [(1.0 + h) / (method.replicates + 1.0) for h in hits]
     else:
         if n_exp > EXACT_MAX_N:
             raise DataError(f"exact enumeration needs <= {EXACT_MAX_N} observations, got {n_exp}")
-        hits = _count_hits(designs, stats, c_max, a, slots, _all_permutations(n_exp))
+        hits = _count_hits(designs, kept, c_max, a, slots, _all_permutations(n_exp))
         p_raw = [h / math.factorial(n_exp) for h in hits]
     return list(zip(c_max, p_raw, dof))
-
-
-def pvalue_montecarlo(g: np.ndarray, a: np.ndarray, w: np.ndarray, B: int, seed: int) -> float:
-    """Monte-Carlo permutation p-value, p = (1 + #{c_b >= c_obs}) / (B + 1).
-
-    Replicate b permutes the scores over the weight-expanded index multiset
-    using Philox stream (seed, b); integer weights required.
-    """
-    return test_statistic([g], a, w, "montecarlo", B, seed)[0][1]
-
-
-def pvalue_exact(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
-    """Exact permutation p-value by full enumeration.
-
-    Enumerates every permutation of the scores over the weight-expanded index
-    multiset (unit weights: all n! score permutations) and returns the
-    proportion with c_max at least the observed value, ties counted as >=.
-    Integer weights only; the expanded size is capped at 10 observations.
-    """
-    return test_statistic([g], a, w, "exact")[0][1]
 
 
 def adjust_pvalues(p_raw: np.ndarray) -> np.ndarray:

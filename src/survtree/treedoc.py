@@ -27,7 +27,8 @@ from collections import deque
 from . import __version__
 from .data import CovariateInfo, SplitRule
 from .errors import DataError, FitError
-from .partition import FitConfig, TestMethod, Tree, TreeNode, describe_rule
+from .partition import FitConfig, Tree, TreeNode, describe_rule
+from .permstat import TestMethod
 
 FORMAT_VERSION = 1
 

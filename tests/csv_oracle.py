@@ -38,6 +38,8 @@ def _parse_float(cell):
 
 
 def read_csv_table(path):
+    """(header, rows, lines): the non-blank data rows and, for each, the
+    physical line of the file it starts on."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -45,21 +47,27 @@ def read_csv_table(path):
                 header = next(reader)
             except StopIteration:
                 raise OracleError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
+            rows, lines = [], []
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
     except OSError as exc:
         raise OracleError(f"cannot read {path}: {exc}") from exc
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if h and header.count(h) > 1})
     if repeated:
         raise OracleError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
-    return header, rows
+    return header, rows, lines
 
 
 def load_csv(path, time_column, event_column, specs):
     """specs: (name, kind, levels) per covariate. Returns (time, event,
     covariates, dropped) with covariates as (name, kind, values, levels,
     ordered) tuples."""
-    header, rows = read_csv_table(path)
+    header, rows, lines = read_csv_table(path)
     col_index = {}
     for name in [time_column, event_column] + [name for name, _, _ in specs]:
         if name not in header:
@@ -70,7 +78,7 @@ def load_csv(path, time_column, event_column, specs):
         i = col_index[name]
         return row[i] if i < len(row) else None
 
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         ev = cell(row, event_column)
         if not _is_missing(ev) and ev.strip().lower() not in _TRUE_EVENT | _FALSE_EVENT:
             raise OracleError(f"{path}:{lineno}: event value {ev!r} not in {{0, 1, true, false}}")

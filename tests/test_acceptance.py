@@ -24,14 +24,11 @@ from survtree import (
     SurvivalResponse,
     TestMethod,
     fit,
-    linear_statistic,
     logrank_scores,
     meld_score,
-    pvalue_exact,
-    pvalue_montecarlo,
     simulate_cohort,
-    standardize_max,
 )
+from survtree import permstat
 from survtree.cli import main as cli_main
 
 
@@ -116,11 +113,11 @@ def test_criterion_3_exact_oracle_equivalence():
         a = rng.normal(size=n)
         w = np.ones(n)
 
-        p_ex = pvalue_exact(g, a, w)
+        p_ex = permstat.test_statistic([g], a, w, TestMethod("exact"))[0][1]
         p_brute = brute_force_pvalue(g.tolist(), list(a), [1] * n)
         brute_max_err = max(brute_max_err, abs(p_ex - p_brute))
 
-        p_mc = pvalue_montecarlo(g, a, w, 9999, seed=30000 + i)
+        p_mc = permstat.test_statistic([g], a, w, TestMethod("montecarlo", 9999, 30000 + i))[0][1]
         se = math.sqrt(max(p_ex * (1.0 - p_ex), 0.0) / 9999)
         if abs(p_mc - p_ex) <= 3 * se or p_mc == p_ex:
             within += 1
@@ -247,8 +244,8 @@ def test_criterion_6_invariance_suite():
         a = rng.normal(size=n)
         alpha = float(rng.uniform(0.1, 5.0)) * (1 if rng.random() < 0.5 else -1)
         beta = float(rng.uniform(-10.0, 10.0))
-        c1 = standardize_max(linear_statistic(g, a, np.ones(n)))
-        c2 = standardize_max(linear_statistic(alpha * g + beta, a, np.ones(n)))
+        c1 = permstat.test_statistic([g], a, np.ones(n))[0][0]
+        c2 = permstat.test_statistic([alpha * g + beta], a, np.ones(n))[0][0]
         if abs(c1 - c2) > 1e-9:
             failures.append(f"affine #{i}")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survtree.data
-from survtree import DataError
+from survtree import ColumnSpec, DataError, Schema, load_csv
 from survtree.cli import main
 from survtree.treedoc import dumps_canonical, load_tree, tree_to_document
 from test_treedoc import STRUCTURAL_DEFECTS, VALUE_DEFECTS
@@ -388,6 +388,24 @@ def test_km_drops_only_rows_it_cannot_route(tmp_path, capsys):
                 == open(tmp_path / "b" / name, "rb").read())
     pred = str(tmp_path / "pred.csv")
     assert run("predict", "--tree", tree_path, "--data", edited, "--out", pred) == 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("5,maybe,a", ":6: event value 'maybe' not in {0, 1, true, false}"),
+    ("-3,1,a", ":6: negative time '-3'"),
+])
+def test_domain_error_names_the_line_its_row_starts_on(tmp_path, capsys, bad, message):
+    # a blank line and a quoted cell holding a line break come before the bad row
+    data = tmp_path / "bad.csv"
+    data.write_text(f'time,event,x\n1,1,a\n\n2,0,"b\nc"\n{bad}\n', encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        load_csv(str(data), Schema("time", "event", (ColumnSpec("x"),)))
+    assert str(raised.value) == f"{data}{message}"
+    tree = fit_tree(tmp_path, simulate(tmp_path), "tree.json", "--max-depth", "0")
+    capsys.readouterr()
+    assert run("km", "--tree", tree, "--data", str(data), "--out-dir", str(tmp_path / "km")) == 3
+    assert capsys.readouterr().err == f"error: {data}{message}\n"
+    assert not (tmp_path / "km").exists()
 
 
 def test_km_removes_stale_leaf_curves(tmp_path):

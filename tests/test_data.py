@@ -98,6 +98,31 @@ def test_first_domain_error_is_reported(tmp_path, rows, message):
         load_csv(path, Schema("time", "event"))
 
 
+@pytest.mark.parametrize("name", ["time", "event"])
+def test_covariate_named_as_a_response_column_is_not_written(name):
+    response = SurvivalResponse(np.array([1.0, 2.0]), np.array([True, False]))
+    ds = Dataset((Covariate(name, NUMERIC, np.array([0.5, 1.5])),), response)
+    out = io.StringIO()
+    with pytest.raises(DataError, match=f"covariate '{name}'"):
+        dataset_to_csv(ds, out)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_domain_error_from_a_pipe_names_the_file():
+    # a pipe cannot be read again to find the line: the error names the row
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"time,event\n5,1\n-1,yes\n")
+    os.close(write_end)
+    try:
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(DataError) as raised:
+            load_csv(path, Schema("time", "event"))
+    finally:
+        os.close(read_end)
+    assert str(raised.value) == f"{path}: data row 2: event value 'yes' not in {{0, 1, true, false}}"
+
+
 def test_missing_file():
     with pytest.raises(DataError, match="cannot read"):
         load_csv("/nonexistent/nope.csv", SCHEMA)
@@ -311,7 +336,7 @@ CELLS = {
           ["", "  ", "nan", "inf", "-inf", "1e400", "abc", "0x10", "a", "1__0"]),
     "g": (["a", "b", "c", " a", "b "], ["", "zz", "1"]),
     "o": (["lo", "mid", "hi", " hi"], ["", "x"]),
-    "z": (["", "q"], []),
+    "z": (["", "q", '"q\nr"'], []),
 }
 
 
@@ -319,7 +344,8 @@ CELLS = {
 def csv_texts(draw):
     """CSV text over time, event, x, g, o and an unused z, in any column
     order: blank, padded, unparseable and non-finite cells, short rows,
-    blank lines, padded header names and an optional byte-order mark. Rare
+    blank lines, a quoted cell holding a line break, padded header names
+    and an optional byte-order mark. Rare
     cells appear in about half of the files, one cell in five there."""
     columns = draw(st.permutations(list(CELLS)))
     pools = {}
@@ -424,7 +450,7 @@ def test_route_matches_per_row_oracle(text, x_cut, g_subset, o_cut):
         path = os.path.join(directory, "data.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        header, rows = csv_oracle.read_csv_table(path)
+        header, rows, _ = csv_oracle.read_csv_table(path)
         cells, n = read_csv_columns(path, names)
     columns = {name: typed_column(c, tree.info(name).levels) for name, c in zip(names, cells)}
     node_of = route(tree, columns, n).tolist()

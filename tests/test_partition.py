@@ -23,6 +23,7 @@ from survtree import (
     render_text,
     simulate_cohort,
 )
+from survtree import permstat
 from survtree.partition import weighted_midranks
 
 SMALL = FitConfig(alpha=0.05, minsplit=4, minbucket=2)
@@ -72,12 +73,10 @@ def test_best_split_numeric_brute_force_check():
 
     # independent check: evaluate each candidate with the module's own
     # statistic on explicit indicators
-    from survtree import linear_statistic, standardize_max
-
     stats = {}
     for c in (1.0, 2.0, 3.0):
         g = (np.array(x) <= c).astype(float)
-        stats[c] = standardize_max(linear_statistic(g, scores, np.ones(4)))
+        stats[c] = permstat.test_statistic([g], scores, np.ones(4))[0][0]
     assert max(stats, key=stats.get) == 2.0
 
 
@@ -128,8 +127,6 @@ def test_best_split_categorical_enumerates_subsets(rng):
     # brute-force over all 7 nontrivial subsets containing A
     from itertools import combinations
 
-    from survtree import linear_statistic, standardize_max
-
     best_stat, best_sub = -1.0, None
     rest = ("B", "C", "D")
     subsets = []
@@ -139,7 +136,7 @@ def test_best_split_categorical_enumerates_subsets(rng):
         g = np.isin(np.array(levels)[vals], sub).astype(float)
         if g.sum() < 2 or (1 - g).sum() < 2:
             continue
-        s = standardize_max(linear_statistic(g, scores, np.ones(40)))
+        s = permstat.test_statistic([g], scores, np.ones(40))[0][0]
         if s > best_stat:
             best_stat, best_sub = s, sub
     assert set(rule.subset) == set(best_sub)

@@ -7,72 +7,96 @@ from hypothesis import strategies as st
 
 from brute_oracle import TIE_RTOL, brute_force_cmax, brute_force_pvalue
 from mc_oracle import montecarlo_test
-from survtree import (
-    DataError,
-    adjust_pvalues,
-    linear_statistic,
-    logrank_scores,
-    normal_cdf,
-    pvalue_asymptotic,
-    pvalue_exact,
-    pvalue_montecarlo,
-    standardize_max,
-)
+from survtree import DataError, FitError, TestMethod, adjust_pvalues, logrank_scores, pvalue_asymptotic
 from survtree import permstat
-from survtree.permstat import LinearStatistic, effective_dof, log_pvalue_asymptotic
+from survtree.permstat import _linear_statistics, _normal_upper_tail, log_pvalue_asymptotic
+
+EXACT = TestMethod("exact")
+
+
+def moments(g, a, w):
+    """T, mu and var of one design (an n-vector or n x p matrix)."""
+    a = np.asarray(a, dtype=float)
+    return _linear_statistics([np.asarray(g, dtype=float).reshape(a.shape[0], -1)], a, np.asarray(w, dtype=float))[0]
+
+
+def node_test(g, a, w, method=TestMethod()):
+    """(c_max, raw p-value, dof) of one design through the node test."""
+    return permstat.test_statistic([g], a, w, method)[0]
+
+
+def montecarlo(B, seed):
+    return TestMethod("montecarlo", B, seed)
 
 
 def test_worked_linear_statistic():
     # scores from the 3-event example; T = 2/3 + 2/6 - 15/6 = -1.5 by hand,
     # mu = 0 (scores sum to zero), var = 7/18 * (1.5*14 - 0.5*36) = 7/6
     a = np.array([2 / 3, 1 / 6, -5 / 6])
-    ls = linear_statistic(np.array([1.0, 2.0, 3.0]), a, np.ones(3))
+    ls = moments(np.array([1.0, 2.0, 3.0]), a, np.ones(3))
     np.testing.assert_allclose(ls.T, [-1.5], atol=1e-12)
     np.testing.assert_allclose(ls.mu, [0.0], atol=1e-12)
     np.testing.assert_allclose(ls.var, [7 / 6], atol=1e-12)
 
 
 def test_constant_scores_degenerate():
-    ls = linear_statistic(np.array([1.0, 5.0, 9.0]), np.full(3, 2.5), np.ones(3))
+    g, a = np.array([1.0, 5.0, 9.0]), np.full(3, 2.5)
+    ls = moments(g, a, np.ones(3))
     np.testing.assert_allclose(ls.var, np.zeros(1), atol=1e-15)
     np.testing.assert_allclose(ls.T, ls.mu, atol=1e-12)
-    assert standardize_max(ls) == 0.0
+    assert node_test(g, a, np.ones(3))[0] == 0.0
 
 
 def test_one_hot_collects_level_scores():
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ls = linear_statistic(g, np.array([1.0, -1.0]), np.ones(2))
+    ls = moments(g, np.array([1.0, -1.0]), np.ones(2))
     np.testing.assert_allclose(ls.T, [1.0, -1.0], atol=1e-15)
 
 
 def test_total_weight_below_two_rejected():
     with pytest.raises(DataError, match="< 2"):
-        linear_statistic(np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.5, 0.5]))
+        node_test(np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(DataError, match="finite"):
-        linear_statistic(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
+        node_test(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
 
 
 def test_standardize_examples():
-    mk = lambda T, mu, var: LinearStatistic(np.array(T), np.array(mu), np.array(var))
-    assert standardize_max(mk([3.0], [1.0], [4.0])) == pytest.approx(1.0)
-    assert standardize_max(mk([2.0], [2.0], [4.0])) == 0.0
-    assert standardize_max(mk([2.0, 5.0], [0.0, 1.0], [1.0, 16.0])) == pytest.approx(2.0)
+    # the worked example: |T - mu| / sqrt(var) = 1.5 / sqrt(7/6), one coordinate
+    a = np.array([2 / 3, 1 / 6, -5 / 6])
+    assert node_test(np.array([1.0, 2.0, 3.0]), a, np.ones(3))[0] == pytest.approx(1.5 / math.sqrt(7 / 6))
+    # T = mu = 4 with var = 2/3: a coordinate that counts but is 0
+    c_max, _, dof = node_test(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]), np.ones(3))
+    assert (c_max, dof) == (pytest.approx(0.0, abs=1e-12), 1)
+    # three levels: c_max is the largest standardized coordinate; by hand,
+    # E_hat = 3, V_hat = 14/4, T = (1, 2, 9), mu = (3, 3, 6) and var =
+    # V_hat * (4/3 * (1, 1, 2) - 1/3 * (1, 1, 4)) = (3.5, 3.5, 14/3)
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    c_max, _, dof = node_test(g, np.array([1.0, 2.0, 3.0, 6.0]), np.ones(4))
+    assert c_max == pytest.approx(max(2 / math.sqrt(3.5), 1 / math.sqrt(3.5), 3 / math.sqrt(14 / 3)))
+    assert dof == 3
 
 
 def test_standardize_skips_degenerate_coordinates():
-    ls = LinearStatistic(np.array([5.0, 1.0]), np.array([0.0, 0.0]), np.array([1e-12, 1.0]))
-    assert standardize_max(ls) == pytest.approx(1.0)
-    assert effective_dof(ls) == 1
+    # column 0 follows the scores exactly (a large |T - mu| / sqrt(var)) but
+    # its variance is below VAR_TOL; column 1 alone makes c_max
+    rng = np.random.Generator(np.random.Philox(key=3))
+    a, x = rng.normal(size=20), rng.normal(size=20)
+    g = np.column_stack((1e-7 * a, x))
+    assert moments(g, a, np.ones(20)).var[0] < permstat.VAR_TOL
+    c_max, _, dof = node_test(g, a, np.ones(20))
+    assert dof == 1
+    assert c_max == pytest.approx(node_test(x, a, np.ones(20))[0], rel=1e-12)
+    assert c_max < node_test(a, a, np.ones(20))[0]
 
 
 def test_normal_cdf_reference_points():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-7)
-    assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-    assert normal_cdf(-1.959964) == pytest.approx(0.025, abs=1e-6)
+    assert 1.0 - _normal_upper_tail(0.0) == pytest.approx(0.5, abs=1e-7)
+    assert 1.0 - _normal_upper_tail(1.959964) == pytest.approx(0.975, abs=1e-6)
+    assert _normal_upper_tail(1.959964) == pytest.approx(0.025, abs=1e-6)
 
 
 def test_pvalue_asymptotic_examples():
@@ -82,18 +106,18 @@ def test_pvalue_asymptotic_examples():
 
 
 def test_pvalue_exact_two_points_symmetric():
-    assert pvalue_exact(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.ones(2)) == 1.0
+    assert node_test(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.ones(2), EXACT)[1] == 1.0
 
 
 def test_pvalue_exact_constant_scores():
-    assert pvalue_exact(np.array([1.0, 2.0, 3.0]), np.full(3, 4.0), np.ones(3)) == 1.0
+    assert node_test(np.array([1.0, 2.0, 3.0]), np.full(3, 4.0), np.ones(3), EXACT)[1] == 1.0
 
 
 def test_pvalue_exact_extreme_arrangement():
     # only the identity and the full reversal achieve the max |T - mu|
     g = np.array([1.0, 2.0, 3.0, 4.0])
     a = np.array([10.0, 20.0, 30.0, 40.0])
-    assert pvalue_exact(g, a, np.ones(4)) == pytest.approx(2 / 24, abs=1e-15)
+    assert node_test(g, a, np.ones(4), EXACT)[1] == pytest.approx(2 / 24, abs=1e-15)
 
 
 def test_pvalue_exact_matches_brute_force(rng):
@@ -101,7 +125,7 @@ def test_pvalue_exact_matches_brute_force(rng):
         n = int(rng.integers(3, 7))
         g = rng.normal(size=n)
         a = rng.normal(size=n)
-        p_lib = pvalue_exact(g, a, np.ones(n))
+        p_lib = node_test(g, a, np.ones(n), EXACT)[1]
         p_brute = brute_force_pvalue([[x] for x in g], list(a), [1] * n)
         assert p_lib == pytest.approx(p_brute, abs=1e-12)
 
@@ -111,19 +135,19 @@ def test_pvalue_exact_one_hot_matches_brute_force(rng):
     g = np.zeros((6, 2))
     g[np.arange(6), levels] = 1.0
     a = rng.normal(size=6)
-    p_lib = pvalue_exact(g, a, np.ones(6))
+    p_lib = node_test(g, a, np.ones(6), EXACT)[1]
     p_brute = brute_force_pvalue(g.tolist(), list(a), [1] * 6)
     assert p_lib == pytest.approx(p_brute, abs=1e-12)
 
 
 def test_pvalue_exact_size_cap():
     with pytest.raises(DataError, match="<= 10"):
-        pvalue_exact(np.arange(11.0), np.arange(11.0), np.ones(11))
+        node_test(np.arange(11.0), np.arange(11.0), np.ones(11), EXACT)
 
 
 def test_pvalue_exact_non_integer_weights():
     with pytest.raises(DataError, match="integer"):
-        pvalue_exact(np.arange(3.0), np.arange(3.0), np.array([1.0, 1.5, 1.0]))
+        node_test(np.arange(3.0), np.arange(3.0), np.array([1.0, 1.5, 1.0]), EXACT)
 
 
 def test_pvalue_exact_integer_weights_equal_replication(rng):
@@ -131,22 +155,22 @@ def test_pvalue_exact_integer_weights_equal_replication(rng):
     a = rng.normal(size=4)
     w = np.array([2.0, 1.0, 2.0, 1.0])
     rep = np.repeat(np.arange(4), w.astype(int))
-    p_w = pvalue_exact(g, a, w)
-    p_rep = pvalue_exact(g[rep], a[rep], np.ones(rep.size))
+    p_w = node_test(g, a, w, EXACT)[1]
+    p_rep = node_test(g[rep], a[rep], np.ones(rep.size), EXACT)[1]
     assert p_w == pytest.approx(p_rep, abs=1e-15)
 
 
 def test_pvalue_montecarlo_constant_scores():
-    assert pvalue_montecarlo(np.arange(4.0), np.full(4, 1.0), np.ones(4), 99, seed=3) == 1.0
+    assert node_test(np.arange(4.0), np.full(4, 1.0), np.ones(4), montecarlo(99, 3))[1] == 1.0
 
 
 def test_pvalue_montecarlo_deterministic():
     rng = np.random.Generator(np.random.Philox(key=5))
     g, a = rng.normal(size=12), rng.normal(size=12)
-    p1 = pvalue_montecarlo(g, a, np.ones(12), 499, seed=11)
-    p2 = pvalue_montecarlo(g, a, np.ones(12), 499, seed=11)
+    p1 = node_test(g, a, np.ones(12), montecarlo(499, 11))[1]
+    p2 = node_test(g, a, np.ones(12), montecarlo(499, 11))[1]
     assert p1 == p2
-    p3 = pvalue_montecarlo(g, a, np.ones(12), 499, seed=12)
+    p3 = node_test(g, a, np.ones(12), montecarlo(499, 12))[1]
     assert p1 != p3  # different stream, almost surely different count
 
 
@@ -157,7 +181,7 @@ def test_pvalue_montecarlo_tie_accounting_extreme_case():
     g = [1.0, 2.0, 3.0, 4.0]
     a = [10.0, 20.0, 30.0, 40.0]
     B, seed = 999, 202406
-    p = pvalue_montecarlo(np.array(g), np.array(a), np.ones(4), B, seed=seed)
+    p = node_test(np.array(g), np.array(a), np.ones(4), montecarlo(B, seed))[1]
 
     c_obs = brute_force_cmax([[x] for x in g], a)
     threshold = c_obs - TIE_RTOL * max(1.0, c_obs)
@@ -171,17 +195,28 @@ def test_pvalue_montecarlo_tie_accounting_extreme_case():
     assert p >= 1 / (B + 1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_pvalue_montecarlo_rejects_seed_outside_its_range(seed):
-    with pytest.raises(DataError, match=r"seed must be in \[0, 2\*\*64\)"):
-        pvalue_montecarlo(np.arange(4.0), np.arange(4.0), np.ones(4), 9, seed)
+@pytest.mark.parametrize("replicates, seed, message", [
+    pytest.param(9, -1, r"seed must be in \[0, 2\*\*64\)", id="-1"),
+    pytest.param(9, 2**64, r"seed must be in \[0, 2\*\*64\)", id="18446744073709551616"),
+    pytest.param(9, 1.7, "seed must be an int", id="float-seed"),
+    pytest.param(9, True, "seed must be an int", id="bool-seed"),
+    pytest.param(99.0, 1, "replicates must be an int", id="float-replicates"),
+])
+def test_pvalue_montecarlo_rejects_seed_outside_its_range(replicates, seed, message):
+    # the node test refuses exactly what TestMethod.validate refuses
+    method = montecarlo(replicates, seed)
+    with pytest.raises(FitError, match=message) as refused:
+        method.validate()
+    with pytest.raises(FitError) as raised:
+        node_test(np.arange(4.0), np.arange(4.0), np.ones(4), method)
+    assert str(raised.value) == str(refused.value)
 
 
 def test_pvalue_montecarlo_largest_seed_keys_its_own_stream():
     g = [1.0, 2.0, 3.0, 4.0]
     a = [10.0, 20.0, 30.0, 40.0]
     seed = 2**64 - 1
-    p = pvalue_montecarlo(np.array(g), np.array(a), np.ones(4), 99, seed)
+    p = node_test(np.array(g), np.array(a), np.ones(4), montecarlo(99, seed))[1]
     c_obs = brute_force_cmax([[x] for x in g], a)
     hits = sum(
         brute_force_cmax([[x] for x in g], [a[i] for i in perm]) >= c_obs - TIE_RTOL * max(1.0, c_obs)
@@ -195,7 +230,7 @@ def test_pvalue_montecarlo_largest_seed_keys_its_own_stream():
 
 def test_pvalue_montecarlo_non_integer_weights():
     with pytest.raises(DataError, match="integer"):
-        pvalue_montecarlo(np.arange(3.0), np.arange(3.0), np.array([1.0, 0.5, 1.0]), 99, 1)
+        node_test(np.arange(3.0), np.arange(3.0), np.array([1.0, 0.5, 1.0]), montecarlo(99, 1))
 
 
 def test_pvalue_montecarlo_weights_equal_replication(rng):
@@ -203,8 +238,8 @@ def test_pvalue_montecarlo_weights_equal_replication(rng):
     a = rng.normal(size=5)
     w = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
     rep = np.repeat(np.arange(5), w.astype(int))
-    p_w = pvalue_montecarlo(g, a, w, 299, seed=7)
-    p_rep = pvalue_montecarlo(g[rep], a[rep], np.ones(rep.size), 299, seed=7)
+    p_w = node_test(g, a, w, montecarlo(299, 7))[1]
+    p_rep = node_test(g[rep], a[rep], np.ones(rep.size), montecarlo(299, 7))[1]
     assert p_w == p_rep
 
 
@@ -229,9 +264,9 @@ def test_zero_weight_observation_is_inert(rng):
     for g, a, w in cases:
         if w.sum() < 2:
             continue
-        full = linear_statistic(g, a, w)
+        full = moments(g, a, w)
         keep = w > 0
-        reduced = linear_statistic(g[keep], a[keep], w[keep])
+        reduced = moments(g[keep], a[keep], w[keep])
         np.testing.assert_allclose(full.T, reduced.T, atol=1e-12)
         np.testing.assert_allclose(full.mu, reduced.mu, atol=1e-12)
         np.testing.assert_allclose(full.var, reduced.var, atol=1e-12)
@@ -247,8 +282,8 @@ def test_affine_invariance_of_cmax(rng):
         w = np.ones(n)
         alpha = float(rng.uniform(0.1, 10.0)) * (1 if rng.random() < 0.5 else -1)
         beta = float(rng.uniform(-20.0, 20.0))
-        c1 = standardize_max(linear_statistic(g, a, w))
-        c2 = standardize_max(linear_statistic(alpha * g + beta, a, w))
+        c1 = node_test(g, a, w)[0]
+        c2 = node_test(alpha * g + beta, a, w)[0]
         assert abs(c1 - c2) <= 1e-9
 
 
@@ -261,7 +296,7 @@ def test_exact_pvalues_superuniform_at_n6(rng):
     g = rng.normal(size=n)
     a = rng.normal(size=n)
     pvals = [
-        pvalue_exact(g, np.array(perm), np.ones(n))
+        node_test(g, np.array(perm), np.ones(n), EXACT)[1]
         for perm in itertools.permutations(a)
     ]
     pvals = np.array(pvals)
@@ -276,8 +311,8 @@ def test_exact_vs_montecarlo_three_binomial_se(rng):
         n = int(rng.integers(3, 9))
         g = rng.normal(size=n)
         a = rng.normal(size=n)
-        p_ex = pvalue_exact(g, a, np.ones(n))
-        p_mc = pvalue_montecarlo(g, a, np.ones(n), 9999, seed=7000 + i)
+        p_ex = node_test(g, a, np.ones(n), EXACT)[1]
+        p_mc = node_test(g, a, np.ones(n), montecarlo(9999, 7000 + i))[1]
         se = math.sqrt(max(p_ex * (1 - p_ex), 0.0) / 9999)
         if abs(p_mc - p_ex) > 3 * se + 2e-4:  # +2e-4 absorbs the +1 smoothing
             bad += 1
@@ -291,9 +326,8 @@ def test_asymptotic_close_to_montecarlo_at_n50(rng):
         g = rng.normal(size=50)
         a = rng.normal(size=50)
         w = np.ones(50)
-        ls = linear_statistic(g, a, w)
-        p_asym = pvalue_asymptotic(standardize_max(ls), effective_dof(ls))
-        p_mc = pvalue_montecarlo(g, a, w, 9999, seed=8100 + i)
+        p_asym = node_test(g, a, w)[1]
+        p_mc = node_test(g, a, w, montecarlo(9999, 8100 + i))[1]
         if abs(p_asym - p_mc) <= 0.02:
             within += 1
     assert within >= 19  # spec demands >= 95% of instances
@@ -307,7 +341,7 @@ def test_logrank_two_sample_reduction(rng):
     time, event = rng.exponential(50, n), rng.random(n) > 0.3
     group = rng.integers(0, 2, n).astype(float)
     a = logrank_scores(time, event)
-    ls = linear_statistic(group, a, np.ones(n))
+    ls = moments(group, a, np.ones(n))
 
     observed = float(event[group == 1].sum())
     expected = 0.0
@@ -350,7 +384,7 @@ def test_node_montecarlo_matches_per_design_oracle(kinds, weights, data_seed, se
     designs = [_node_design(k, n, rng) for k in kinds]
     a = np.round(rng.normal(size=n), 1)
     w = np.array(weights, dtype=float)
-    node = permstat.test_statistic(designs, a, w, "montecarlo", B, seed)
+    node = permstat.test_statistic(designs, a, w, montecarlo(B, seed))
     for g, (c_max, p_raw, _) in zip(designs, node):
         assert (c_max, p_raw) == montecarlo_test(g, a, w, B, seed)
 
@@ -367,7 +401,7 @@ def test_node_exact_matches_brute_force(kinds, weights, data_seed):
     designs = [_node_design(k, n, rng) for k in kinds]
     a = np.round(rng.normal(size=n), 1)
     w = np.array(weights, dtype=float)
-    node = permstat.test_statistic(designs, a, w, "exact")
+    node = permstat.test_statistic(designs, a, w, EXACT)
     for g, (_, p_raw, _) in zip(designs, node):
         assert p_raw == brute_force_pvalue(g.reshape(n, -1).tolist(), list(a), weights)
 
@@ -378,19 +412,16 @@ def test_node_montecarlo_matches_oracle_across_batches(rng):
     w = np.tile([1.0, 2.0, 0.0, 3.0], n // 4)
     designs = [rng.normal(size=n), _node_design("onehot", n, rng)]
     a = rng.normal(size=n)
-    node = permstat.test_statistic(designs, a, w, "montecarlo", 2500, 17)
+    node = permstat.test_statistic(designs, a, w, montecarlo(2500, 17))
     for g, (c_max, p_raw, _) in zip(designs, node):
         assert (c_max, p_raw) == montecarlo_test(g, a, w, 2500, 17)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("resample", [
-    lambda g, a, w: pvalue_montecarlo(g, a, w, 99, 1),
-    lambda g, a, w: pvalue_exact(g, a, w),
-], ids=["montecarlo", "exact"])
-def test_resampling_rejects_non_finite_weights(resample, bad):
+@pytest.mark.parametrize("method", [montecarlo(99, 1), EXACT], ids=["montecarlo", "exact"])
+def test_resampling_rejects_non_finite_weights(method, bad):
     with pytest.raises(DataError, match="finite"):
-        resample(np.arange(3.0), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
+        node_test(np.arange(3.0), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]), method)
 
 
 def test_log_pvalue_asymptotic_matches_log_of_p_before_underflow():
@@ -424,6 +455,9 @@ def test_node_test_matches_each_designs_own_linear_statistic(kinds, weights, dat
     a = np.round(rng.normal(size=n), 1)
     w = np.array(weights)
     node = permstat.test_statistic(designs, a, w)
-    for g, (c_max, _, dof) in zip(designs, node):
-        ls = linear_statistic(g, a, w)
-        assert (c_max, dof) == (standardize_max(ls), effective_dof(ls))
+    for g, result in zip(designs, node):
+        assert result == node_test(g, a, w)
+        ls = moments(g, a, w)
+        keep = ls.var > permstat.VAR_TOL
+        z = np.abs(ls.T[keep] - ls.mu[keep]) / np.sqrt(ls.var[keep])
+        assert result[::2] == (float(z.max()) if keep.any() else 0.0, int(keep.sum()))
