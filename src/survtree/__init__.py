@@ -30,7 +30,6 @@ from .partition import (
     render_text,
 )
 from .permstat import (
-    LinearStatistic,
     SplitTest,
     TestMethod,
     adjust_pvalues,
@@ -48,7 +47,6 @@ __all__ = [
     "FitConfig",
     "FitError",
     "KMCurve",
-    "LinearStatistic",
     "MeldRecord",
     "Schema",
     "SimConfig",

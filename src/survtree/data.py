@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,21 +229,24 @@ def _where(path: str, record: int) -> str:
     """"path:line", the line on which data row `record` (0-based) starts,
     counting rows as read_csv_columns does (blank lines skipped, a quoted
     cell may hold line breaks). The file is read again only to word an
-    error, so a load keeps no line table; where it cannot be (a pipe),
-    "path: data row n", n counted from 1."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)  # the header
-            start = reader.line_num + 1
-            for row in reader:
-                if row:
-                    if record == 0:
-                        return f"{path}:{start}"
-                    record -= 1
+    error, so a load keeps no line table. Only a regular file is read again
+    (a FIFO or pipe is drained and reopening it could block); otherwise, or
+    if the second read fails, "path: data row n", n counted from 1."""
+    if os.path.isfile(path):
+        try:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader, None)  # the header
                 start = reader.line_num + 1
-    except (OSError, UnicodeDecodeError, csv.Error):
-        pass
+                rows_before = record
+                for row in reader:
+                    if row:
+                        if rows_before == 0:
+                            return f"{path}:{start}"
+                        rows_before -= 1
+                    start = reader.line_num + 1
+        except (OSError, UnicodeDecodeError, csv.Error):
+            pass
     return f"{path}: data row {record + 1}"
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from survtree import (
     load_csv,
     simulate_cohort,
 )
-from survtree.data import _BLOCK, read_csv_columns, typed_column
+from survtree.data import _BLOCK, _where, read_csv_columns, typed_column
 from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, fit, predict_node, route
 from survtree.treedoc import document_to_tree, tree_to_document
 
@@ -121,6 +122,45 @@ def test_domain_error_from_a_pipe_names_the_file():
     finally:
         os.close(read_end)
     assert str(raised.value) == f"{path}: data row 2: event value 'yes' not in {{0, 1, true, false}}"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_domain_error_from_a_named_pipe_does_not_wait_for_a_writer(tmp_path):
+    # once the writer has closed, opening the FIFO again would block for good
+    path = str(tmp_path / "bad.fifo")
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(b"time,event\n5,1\n-1,yes\n")
+
+    outcome = []
+
+    def load():
+        try:
+            load_csv(path, Schema("time", "event"))
+        except DataError as exc:
+            outcome.append(str(exc))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, load)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(timeout=10)
+    hung = threads[1].is_alive()
+    if hung:  # release the reader blocked in a second open() of the FIFO
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    threads[0].join(timeout=10)
+    threads[1].join(timeout=10)
+    assert not hung
+    assert outcome == [f"{path}: data row 2: event value 'yes' not in {{0, 1, true, false}}"]
+
+
+def test_domain_error_line_falls_back_to_the_row_it_was_given(tmp_path):
+    # the file has fewer rows on the second read (it changed after loading)
+    path = tmp_path / "short.csv"
+    path.write_text("time,event\n1,1\n2,0\n", encoding="utf-8")
+    assert _where(str(path), 1) == f"{path}:3"
+    assert _where(str(path), 4) == f"{path}: data row 5"
 
 
 def test_missing_file():
