@@ -155,20 +155,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
-
-
 def _cmd_fit(args) -> int:
     schema = Schema(args.time, args.event, args.covariates)
-    ds, dropped = load_csv(args.data, schema)
+    digest = hashlib.sha256()  # of the bytes read, once: a pipe cannot be read again
+    ds, dropped = load_csv(args.data, schema, digest)
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
     cfg = FitConfig(
@@ -180,7 +170,7 @@ def _cmd_fit(args) -> int:
     )
     tree = fit(ds, cfg)
     seed = cfg.test.seed if cfg.test.name == "montecarlo" else None
-    doc = tree_to_document(tree, args.time, args.event, _sha256(args.data), seed)
+    doc = tree_to_document(tree, args.time, args.event, digest.hexdigest(), seed)
     write_atomic(args.out, dumps_canonical(doc) + "\n")
     sys.stdout.write(render_text(tree))
     return 0

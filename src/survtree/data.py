@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
 import operator
@@ -188,14 +189,42 @@ _EVENT_FLAGS = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0, "": np.nan}
 _BLOCK = 4096  # rows the CSV reader and writer handle at a time
 
 
-def read_csv_columns(path: str, names: list[str]) -> tuple[list[list[str]], int]:
+class _Hashing(io.RawIOBase):
+    """A binary file read through, each byte also fed to `digest`."""
+
+    def __init__(self, fh, digest):
+        self._fh, self._digest = fh, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[list[str]], int]:
     """The cells of the named columns, in the order named, and the number of
     data rows, from an RFC-4180-style CSV in UTF-8 with or without a
     byte-order mark. Blank lines are skipped and a short row reads as blank
     cells. Header names are stripped of surrounding whitespace; a header that
-    names a column twice, or lacks a named column, is a DataError."""
+    names a column twice, or lacks a named column, is a DataError. A hashlib
+    `digest`, if given, is fed every byte of the file as it is read, so it
+    hashes what was parsed, from a pipe too."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        if digest is None:
+            fh = open(path, "r", encoding="utf-8-sig", newline="")
+        else:
+            fh = io.TextIOWrapper(
+                io.BufferedReader(_Hashing(open(path, "rb", buffering=0), digest)),
+                encoding="utf-8-sig", newline="",
+            )
+        with fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -272,9 +301,10 @@ def usable(x, levels: tuple[str, ...] | None):
     return x >= 0 if levels is not None else x == x
 
 
-def _by_distinct(cells: list[str], f, dtype) -> np.ndarray:
-    """`f` of each cell, computed once per distinct string."""
-    index = {c: f(c) for c in set(cells)}
+def _by_distinct(cells: list[str], f, dtype, distinct=None) -> np.ndarray:
+    """`f` of each cell, computed once per distinct string (`distinct`, if
+    the caller holds them)."""
+    index = {c: f(c) for c in (set(cells) if distinct is None else distinct)}
     return np.array([index[c] for c in cells], dtype=dtype)
 
 
@@ -308,41 +338,60 @@ def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> 
     return time, event
 
 
-def load_csv(path: str, schema: Schema) -> tuple[Dataset, int]:
+def _typed_covariate(spec: ColumnSpec, cells: list[str]) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """A covariate column's typed values (`typed_column`), and its levels if
+    it is categorical. An `auto` column is inferred over every row, so that
+    its kind is a property of the file, not of which rows survive: it is
+    numeric iff every cell typed NaN is blank, which is decided, like the
+    levels and indices, once per distinct cell. Observed levels are validated
+    after dropping: an all-missing column should surface as "zero rows
+    remain", not as bad levels."""
+    if spec.kind == NUMERIC:
+        return typed_column(cells), None
+    distinct = None
+    if spec.kind == "auto":
+        try:
+            values = np.array(cells, dtype=float)  # as in typed_column
+        except ValueError:
+            distinct = {c: typed_value(c) for c in set(cells)}
+            if all(x == x or not c.strip() for c, x in distinct.items()):
+                return np.array([distinct[c] for c in cells], dtype=float), None
+        else:
+            nan = ~np.isfinite(values)
+            if not any(cells[i].strip() for i in np.flatnonzero(nan)):
+                values[nan] = np.nan
+                return values, None
+    distinct = set(cells) if distinct is None else distinct.keys()
+    levels = spec.levels or tuple(sorted({c.strip() for c in distinct} - {""}))
+    return _by_distinct(cells, lambda c: typed_value(c, levels), np.int64, distinct), levels
+
+
+def load_csv(path: str, schema: Schema, digest=None) -> tuple[Dataset, int]:
     """Read a CSV (see read_csv_columns; '.' decimals) into a Dataset.
 
     Rows with a missing or unparseable value in any declared column are
     dropped (listwise deletion); the second return value is the dropped-row
     count. Domain violations are errors, never dropped: an event cell outside
-    {0, 1, true, false} or a negative time aborts the load.
+    {0, 1, true, false} or a negative time aborts the load. `digest` is
+    passed to read_csv_columns.
     """
     names = [schema.time_column, schema.event_column] + [c.name for c in schema.covariates]
-    (time_cells, event_cells, *covariate_cells), n = read_csv_columns(path, names)
+    (time_cells, event_cells, *covariate_cells), n = read_csv_columns(path, names, digest)
     time, event = typed_response(path, time_cells, event_cells)
     keep = np.isfinite(time) & np.isfinite(event)
 
     typed = []
     for spec, cells in zip(schema.covariates, covariate_cells):
-        kind, levels = spec.kind, None
-        values = typed_column(cells) if kind in ("auto", NUMERIC) else None
-        if kind == "auto":
-            # inferred over every row, so that it is a property of the file,
-            # not of which rows survive: numeric iff only blank cells are NaN
-            kind = CATEGORICAL if any(cells[i].strip() for i in np.flatnonzero(np.isnan(values))) else NUMERIC
-        if kind != NUMERIC:
-            # observed levels are validated after dropping: an all-missing
-            # column should surface as "zero rows remain", not as bad levels
-            levels = spec.levels or tuple(sorted({c.strip() for c in set(cells)} - {""}))
-            values = typed_column(cells, levels)
+        values, levels = _typed_covariate(spec, cells)
         keep &= usable(values, levels)
-        typed.append((spec.name, kind, values, levels))
+        typed.append((spec, values, levels))
 
     if not keep.any():
         raise DataError(f"{path}: zero rows remain after dropping incomplete records")
     covariates = []
-    for name, kind, values, levels in typed:
+    for spec, values, levels in typed:
         stored = NUMERIC if levels is None else CATEGORICAL
-        covariates.append(Covariate(name, stored, values[keep], levels, ordered=kind == "ordinal"))
+        covariates.append(Covariate(spec.name, stored, values[keep], levels, ordered=spec.kind == "ordinal"))
     response = SurvivalResponse(time[keep], event[keep] == 1.0)
     return Dataset(tuple(covariates), response), n - int(keep.sum())
 

@@ -23,6 +23,32 @@ from .data import CATEGORICAL, NUMERIC, Covariate
 from .errors import DataError
 
 
+def _checked(time, event, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """time, event and weights as arrays; DataError unless they have equal
+    length and the weights are finite, non-negative and not all zero."""
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=bool)
+    weights = np.asarray(weights, dtype=float)
+    if time.shape != event.shape or time.shape != weights.shape:
+        raise DataError("time, event and weights must have equal length")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise DataError("case weights must be finite and non-negative")
+    if weights.sum() <= 0:
+        raise DataError("all case weights are zero")
+    return time, event, weights
+
+
+def tie_blocks(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted values `xs`: where each run of equal values starts, and the
+    run each value belongs to (0, 1, ...)."""
+    starts = np.empty(xs.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+    block = starts.cumsum()
+    block -= 1
+    return starts, block
+
+
 def event_table(
     time: np.ndarray, event: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -34,24 +60,37 @@ def event_table(
     unless time, event and weights have equal length and the weights are
     finite, non-negative and not all zero.
     """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    weights = np.asarray(weights, dtype=float)
-    if time.shape != event.shape or time.shape != weights.shape:
-        raise DataError("time, event and weights must have equal length")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise DataError("case weights must be finite and non-negative")
-    total = weights.sum()
-    if total <= 0:
-        raise DataError("all case weights are zero")
+    time, event, weights = _checked(time, event, weights)
+    return risk_table(time, event, weights, time.argsort())[:3]
 
-    uniq, inverse = np.unique(time, return_inverse=True)
-    d = np.bincount(inverse, weights=np.where(event, weights, 0.0), minlength=uniq.size)
-    w_at = np.bincount(inverse, weights=weights, minlength=uniq.size)
+
+def risk_table(
+    time: np.ndarray, event: np.ndarray, weights: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`event_table`'s (times, d, r) from `order`, an argsort of `time`, and
+    each row's number of event times at or before its own time.
+
+    d and the weight at each time are summed over the rows in row order, so
+    the table does not depend on how `order` breaks ties. Each time is the
+    tie's first in `order`, except that a tie of -0.0 and 0.0 is the signed
+    zero `np.unique` reports for it (`np.unique` sorts with `np.argsort`'s
+    default quicksort, so from that order every time is `np.unique`'s).
+    """
+    ts = time[order]
+    starts, block = tie_blocks(ts)
+    tie = np.empty_like(block)  # each row's tie, in row order
+    tie[order] = block
+    d = np.bincount(tie, weights=np.where(event, weights, 0.0))
+    w_at = np.bincount(tie, weights=weights)
     # R(s) = total weight minus weight at strictly earlier times
-    r = total - np.concatenate(([0.0], np.cumsum(w_at)[:-1]))
+    r = weights.sum() - np.concatenate(([0.0], w_at.cumsum()[:-1]))
     has_event = d > 0
-    return uniq[has_event], d[has_event], r[has_event]
+    times = ts[starts]
+    if ts.size and ts[0] <= 0.0 <= ts[-1]:
+        zero_signs = np.signbit(ts[ts == 0.0])
+        if zero_signs.any() and not zero_signs.all():
+            times = np.unique(time, return_inverse=True)[0]
+    return times[has_event], d[has_event], r[has_event], has_event.cumsum()[tie]
 
 
 def logrank_scores(
@@ -64,23 +103,19 @@ def logrank_scores(
     weights downstream anyway). Raises DataError if all weights are zero.
     """
     time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    if weights is None:
-        weights = np.ones_like(time)
-    return table_scores(time, event, *event_table(time, event, weights))
+    time, event, weights = _checked(time, event, np.ones_like(time) if weights is None else weights)
+    _, d, r, passed = risk_table(time, event, weights, time.argsort())
+    return table_scores(event, d, r, passed)
 
 
-def table_scores(
-    time: np.ndarray, event: np.ndarray, ev_times: np.ndarray, d: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """Log-rank scores of the rows (time, event) from their risk table
-    (ev_times, d, r), as `event_table` returns it."""
-    if ev_times.size == 0:
-        return np.zeros_like(time)
-    cumhaz = np.cumsum(d / r)
+def table_scores(event: np.ndarray, d: np.ndarray, r: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """Log-rank scores of the rows with flags `event` from their risk table:
+    d and r as `risk_table` returns them, and `passed`, each row's number of
+    event times at or before its own time."""
+    if d.size == 0:
+        return np.zeros(event.shape)
     # cumhazard evaluated at t_i includes the jump at s == t_i
-    pos = np.searchsorted(ev_times, time, side="right")
-    lam = np.concatenate(([0.0], cumhaz))[pos]
+    lam = np.concatenate(([0.0], np.cumsum(d / r)))[passed]
     return np.where(event, 1.0, 0.0) - lam
 
 

@@ -1,7 +1,9 @@
 """Recursive binary partitioning driven by permutation tests.
 
 At each node (the learning-sample rows it holds, in row order, with their
-case weights, all positive; the root drops zero-weight rows once):
+case weights, all positive; the root drops zero-weight rows once, and sorts
+the times and each numeric or ordered covariate once, for every node to
+inherit its share of those orders):
 
 1. recompute log-rank scores from the node's rows alone and test every
    covariate's association with them;
@@ -31,7 +33,7 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, typed_value, usable
 from .errors import DataError, FitError
-from .influence import encode_covariate, event_table, table_scores
+from .influence import encode_covariate, risk_table, table_scores, tie_blocks
 from .km import KMCurve
 from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, log_pvalue_asymptotic, test_statistic
 
@@ -113,21 +115,22 @@ class Tree:
         raise DataError(f"tree uses unknown covariate {name!r}")
 
 
-def weighted_midranks(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def weighted_midranks(x: np.ndarray, w: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """Midranks of x over the weight-expanded multiset: for observation i,
-    (weight below x_i) + (weight at x_i + 1) / 2. Weights are positive."""
+    (weight below x_i) + (weight at x_i + 1) / 2. Weights are positive.
+    `order` is a stable argsort of x, if the caller holds one."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    order = np.argsort(x, kind="stable")
+    if order is None:
+        order = np.argsort(x, kind="stable")
     xs, ws = x[order], w[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(xs)) + 1))
+    tie_starts, block = tie_blocks(xs)
+    bounds = np.append(np.flatnonzero(tie_starts), xs.size)
     cum = np.concatenate(([0.0], np.cumsum(ws)))
-    block = np.searchsorted(starts, np.arange(xs.size), side="right") - 1
-    ends = np.concatenate((starts[1:], [xs.size]))
-    w_below = cum[starts]
-    w_at = cum[ends] - cum[starts]
+    w_below = cum[bounds[:-1]]
+    w_at = cum[bounds[1:]] - w_below
     out = np.empty_like(x)
-    out[order] = w_below[block] + (w_at[block] + 1.0) / 2.0
+    out[order] = (w_below + (w_at + 1.0) / 2.0)[block]
     return out
 
 
@@ -146,12 +149,22 @@ def _indicator_stats(
     return stat
 
 
+def _cutoff_scan(x: np.ndarray, w: np.ndarray, scores: np.ndarray, order: np.ndarray):
+    """Every candidate cut-off of x (each distinct value but the largest), with
+    the weight and the weighted score sum of the rows at or below it, from
+    `order`, a stable argsort of x."""
+    xs, ws, sc = x[order], w[order], scores[order]
+    boundary = np.nonzero(np.diff(xs))[0]  # cut at xs[i] for xs[i] != xs[i+1]
+    return xs[boundary], np.cumsum(ws)[boundary], np.cumsum(ws * sc)[boundary]
+
+
 def best_split(
-    w: np.ndarray, cov: Covariate, scores: np.ndarray, cfg: FitConfig
+    w: np.ndarray, cov: Covariate, scores: np.ndarray, cfg: FitConfig, order: np.ndarray | None = None
 ) -> SplitRule | None:
     """Best binary split of `cov` for a node: `cov.values`, `scores` and the
     case weights `w` hold the node's rows, and every weight is positive
-    (DataError otherwise).
+    (DataError otherwise). `order` is a stable argsort of a numeric or
+    ordered covariate's values, if the caller holds one.
 
     Numeric / ordered: scans every distinct observed value except the largest
     as a candidate cut-off, maximizing the standardized two-sample statistic;
@@ -176,13 +189,9 @@ def best_split(
     numeric = cov.kind == NUMERIC or cov.ordered
     if numeric:
         x = np.asarray(cov.values, dtype=float)
-        order = np.argsort(x, kind="stable")
-        xs, ws, sc = x[order], w[order], scores[order]
-        boundary = np.nonzero(np.diff(xs))[0]  # cut at xs[i] for xs[i] != xs[i+1]
-        if boundary.size == 0:
+        cutoffs, w_left, T = _cutoff_scan(x, w, scores, np.argsort(x, kind="stable") if order is None else order)
+        if cutoffs.size == 0:
             return None
-        w_left = np.cumsum(ws)[boundary]
-        T = np.cumsum(ws * sc)[boundary]
     else:
         K = cov.n_levels
         w_level = np.bincount(cov.values, weights=w, minlength=K)
@@ -200,8 +209,22 @@ def best_split(
     top = stat.max()
     best = int(np.flatnonzero(stat >= top - 1e-12 * max(1.0, abs(top)))[0])
     if numeric:
-        return SplitRule(cov.name, cutoff=float(xs[boundary[best]]))
+        return SplitRule(cov.name, cutoff=float(cutoffs[best]))
     return SplitRule(cov.name, subset=tuple(cov.levels[k] for k in subsets[best]))
+
+
+def _split_orders(orders: list[np.ndarray | None], left: np.ndarray) -> tuple[tuple, tuple]:
+    """Each order of a node's rows split into its children's: the left and
+    the right rows, each in the order they had, renumbered within their
+    child. An argsort of the node's values split so is an argsort of each
+    child's, and a stable one stays stable."""
+    position = np.where(left, np.cumsum(left), np.cumsum(~left)) - 1  # a row's index within its child
+
+    def halves(order):
+        goes_left = left[order]
+        return position[order[goes_left]], position[order[~goes_left]]
+
+    return tuple(zip(*((None, None) if order is None else halves(order) for order in orders)))
 
 
 def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
@@ -243,15 +266,22 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
     nodes: dict[int, TreeNode] = {}
     next_id = 2
     root_rows = np.flatnonzero(w0 > 0)
-    queue: deque[tuple[int, np.ndarray, np.ndarray, int]] = deque([(1, root_rows, w0[root_rows], 0)])
+    # orders of the times and of each ranked covariate, sorted once at the
+    # root: a node's are its parent's restricted to its rows. Midranks and
+    # cut-off scans sum in sorted order, so their orders are stable; the risk
+    # table sums in row order, so any order of the times will do.
+    root_orders = [np.argsort(ds.response.time[root_rows])] + [
+        None if s.ndim == 2 else np.argsort(s[root_rows], kind="stable") for s in sources
+    ]
+    queue = deque([(1, root_rows, w0[root_rows], root_orders, 0)])
 
     while queue:
-        nid, rows, w, depth = queue.popleft()
+        nid, rows, w, orders, depth = queue.popleft()
+        time_order, *cov_orders = orders
         time, event = ds.response.time[rows], ds.response.event[rows]
         n_eff = float(w.sum())
         events_w = float(w[event].sum())
-        table = event_table(time, event, w)  # feeds the KM median and the log-rank scores
-        ev_times, d, r = table
+        ev_times, d, r, passed = risk_table(time, event, w, time_order)  # feeds the KM median and the scores
         base = dict(
             id=nid,
             depth=depth,
@@ -267,9 +297,12 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
             nodes[nid] = TreeNode(**base, stop_reason="minsplit")
             continue
 
-        scores = table_scores(time, event, *table)
+        scores = table_scores(event, d, r, passed)
         try:
-            designs = [s[rows] if s.ndim == 2 else weighted_midranks(s[rows], w).reshape(-1, 1) for s in sources]
+            designs = [
+                s.take(rows, axis=0) if s.ndim == 2 else weighted_midranks(s[rows], w, order).reshape(-1, 1)
+                for s, order in zip(sources, cov_orders)
+            ]
             raw = test_statistic(designs, scores, w, cfg.test)
         except DataError as exc:
             raise FitError(f"node {nid}: {exc}") from exc
@@ -292,7 +325,7 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
             nodes[nid] = TreeNode(**base, tests=tests, p_adjusted=p_min, stop_reason="alpha")
             continue
         cov = replace(ds.covariates[j], values=ds.covariates[j].values[rows])
-        rule = best_split(w, cov, scores, cfg)
+        rule = best_split(w, cov, scores, cfg, cov_orders[j])
         if rule is None:
             nodes[nid] = TreeNode(
                 **base, tests=tests, p_adjusted=p_min, stop_reason="minbucket"
@@ -305,8 +338,8 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         nodes[nid] = TreeNode(
             **base, tests=tests, p_adjusted=p_min, split=rule, children=children
         )
-        queue.append((children[0], rows[left], w[left], depth + 1))
-        queue.append((children[1], rows[~left], w[~left], depth + 1))
+        for child, side, child_orders in zip(children, (left, ~left), _split_orders(orders, left)):
+            queue.append((child, rows[side], w[side], child_orders, depth + 1))
 
     return Tree(nodes=nodes, config=cfg, covariate_info=tuple(c.info for c in ds.covariates))
 

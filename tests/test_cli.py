@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -157,6 +159,61 @@ def test_tree_document_round_trip_bytes(tmp_path):
     doc = json.loads(text)
     assert doc["provenance"]["tool_version"]
     assert doc["provenance"]["input_sha256"]
+
+
+def _fit_while_writing(tmp_path, path, write):
+    """Run `fit --data path` while the thread `write` feeds `path`, a pipe or
+    a FIFO: fit's exit code (None if it hung) and the digest it recorded."""
+    tree_path = tmp_path / "piped.json"
+    codes = []
+
+    def fit():
+        codes.append(run("fit", "--data", path, "--time", "time", "--event", "event",
+                         "--covariates", COVARIATES, "--out", str(tree_path)))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, fit)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(timeout=20)
+    hung = threads[1].is_alive()
+    if hung:  # release a reader blocked in a second open() of the FIFO
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        threads[1].join(timeout=10)
+    threads[0].join(timeout=10)
+    if hung or codes != [0]:
+        return None if hung else codes[0], None
+    return 0, json.loads(tree_path.read_text(encoding="utf-8"))["provenance"]["input_sha256"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fit_reads_a_named_pipe_once(tmp_path):
+    # the input digest comes from the one read: opening the FIFO again, after
+    # its writer has closed, would wait for a new writer for good
+    data = open(simulate(tmp_path), "rb").read()
+    path = str(tmp_path / "cohort.fifo")
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    assert _fit_while_writing(tmp_path, path, write) == (0, hashlib.sha256(data).hexdigest())
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_fit_records_the_digest_of_the_bytes_it_read_from_a_pipe(tmp_path):
+    data = open(simulate(tmp_path), "rb").read()
+    read_end, write_end = os.pipe()
+
+    def write():
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+
+    try:
+        result = _fit_while_writing(tmp_path, f"/dev/fd/{read_end}", write)
+    finally:
+        os.close(read_end)
+    assert result == (0, hashlib.sha256(data).hexdigest())
 
 
 def test_fit_montecarlo_seed_recorded(tmp_path):

@@ -64,7 +64,7 @@ def test_non_finite_weights_rejected(bad):
         node_test(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, -1.5]), np.array([1.0, bad, 1.0]))
 
 
-def test_standardize_examples():
+def test_node_test_cmax_examples():
     # the worked example: |T - mu| / sqrt(var) = 1.5 / sqrt(7/6), one coordinate
     a = np.array([2 / 3, 1 / 6, -5 / 6])
     assert node_test(np.array([1.0, 2.0, 3.0]), a, np.ones(3))[0] == pytest.approx(1.5 / math.sqrt(7 / 6))
@@ -80,7 +80,7 @@ def test_standardize_examples():
     assert dof == 3
 
 
-def test_standardize_skips_degenerate_coordinates():
+def test_node_test_skips_degenerate_coordinates():
     # column 0 follows the scores exactly (a large |T - mu| / sqrt(var)) but
     # its variance is below VAR_TOL; column 1 alone makes c_max
     rng = np.random.Generator(np.random.Philox(key=3))
@@ -93,7 +93,7 @@ def test_standardize_skips_degenerate_coordinates():
     assert c_max < node_test(a, a, np.ones(20))[0]
 
 
-def test_normal_cdf_reference_points():
+def test_normal_upper_tail_reference_points():
     assert 1.0 - _normal_upper_tail(0.0) == pytest.approx(0.5, abs=1e-7)
     assert 1.0 - _normal_upper_tail(1.959964) == pytest.approx(0.975, abs=1e-6)
     assert _normal_upper_tail(1.959964) == pytest.approx(0.025, abs=1e-6)

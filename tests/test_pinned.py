@@ -6,7 +6,9 @@ its sha256, so a refactor of the fitting code that claims to keep every byte
 is checked on the files a user actually gets. `simulate`'s cohort CSV is
 pinned on its own for five generator configs (default, a 25,000-row cohort
 with age and HCC effects, two censoring targets and labs mode), so a change
-to the generator that claims the same bytes is checked too. The digests follow from
+to the generator that claims the same bytes is checked too. So is `fit` on the
+25,000-row cohort: deep nodes with many tied times and covariate values,
+which the 529-row pins do not reach. The digests follow from
 numpy's floating-point reductions; a numpy build that sums differently may
 move them, and then every pin here moves together.
 """
@@ -52,6 +54,12 @@ COHORT_PINNED = {
 }
 
 
+FIT_25K_PINNED = {
+    "fit.stdout": "e2a4ecb6398c1aef111e4c70b5f5b69e5bdb087db291fbaa26d8d2a573b3e116",
+    "tree.json": "c8bfffed58f80d3bf56f61feb448e5a41b7117da8719ce1b28acf3ce7ab8b8cc",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -87,3 +95,13 @@ def test_simulated_cohort_is_pinned(tmp_path, capsys, config):
     assert main(["simulate", "--seed", "1", *args, "--out", str(cohort)]) == 0
     capsys.readouterr()
     assert _sha256(cohort.read_bytes()) == digest
+
+
+def test_fit_on_the_25k_cohort_is_pinned(tmp_path, capsys):
+    cohort, tree = str(tmp_path / "cohort.csv"), tmp_path / "tree.json"
+    assert main(["simulate", "--seed", "1", *COHORT_PINNED["n25000-age-hcc"][0], "--out", cohort]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--data", cohort, "--time", "time", "--event", "event",
+                 "--covariates", COVARIATES, "--out", str(tree)]) == 0
+    digests = {"fit.stdout": _sha256(capsys.readouterr().out.encode("utf-8")), "tree.json": _sha256(tree.read_bytes())}
+    assert digests == FIT_25K_PINNED
