@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +209,22 @@ class _Hashing(io.RawIOBase):
         super().close()
 
 
+def _open_input(path: str):
+    """`path` opened for unbuffered binary reads. If it names standard input
+    and that is not a regular file (`/dev/stdin` on a pipe or FIFO), a
+    duplicate of descriptor 0 is read instead: opening a FIFO again would wait
+    for a new writer, while descriptor 0 already holds the data."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        try:
+            stdin = os.fstat(0)
+        except OSError:  # descriptor 0 is closed
+            stdin = None
+        if stdin is not None and os.path.samestat(st, stdin):
+            return open(os.dup(0), "rb", buffering=0)
+    return open(path, "rb", buffering=0)
+
+
 def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[list[str]], int]:
     """The cells of the named columns, in the order named, and the number of
     data rows, from an RFC-4180-style CSV in UTF-8 with or without a
@@ -217,14 +234,10 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
     `digest`, if given, is fed every byte of the file as it is read, so it
     hashes what was parsed, from a pipe too."""
     try:
-        if digest is None:
-            fh = open(path, "r", encoding="utf-8-sig", newline="")
-        else:
-            fh = io.TextIOWrapper(
-                io.BufferedReader(_Hashing(open(path, "rb", buffering=0), digest)),
-                encoding="utf-8-sig", newline="",
-            )
-        with fh:
+        raw = _open_input(path)
+        if digest is not None:
+            raw = _Hashing(raw, digest)
+        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -435,21 +448,34 @@ class SplitRule:
             raise DataError(f"{what} does not fit {kind} covariate {self.covariate!r}")
 
 
+def _csv_cells(levels: tuple[str, ...]) -> tuple[str, ...]:
+    """Each level as `csv.writer` writes it inside a row: quoted where the
+    csv module quotes it."""
+    cells = []
+    for level in levels:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([level, ""])
+        cells.append(out.getvalue()[:-2])  # less the empty cell's comma and the line end
+    return tuple(cells)
+
+
 def dataset_to_csv(ds: Dataset, fh) -> None:
     """Write a Dataset, a block of rows at a time, to the text handle `fh` in
     the CSV dialect load_csv reads (covariates in declared order, then
-    time,event). Floats use repr and cells are quoted only where needed, so
-    a load_csv round trip is lossless (`CovariateInfo` keeps levels readable).
-    A covariate named "time" or "event" would repeat a header name, which
-    load_csv refuses: it is a DataError, raised before anything is written."""
+    time,event). Floats use repr and levels are quoted only where
+    `csv.writer` quotes them, so a load_csv round trip is lossless
+    (`CovariateInfo` keeps levels readable). Each block is formatted a column
+    at a time and written as one string. A covariate named "time" or "event"
+    would repeat a header name, which load_csv refuses: it is a DataError,
+    raised before anything is written."""
     header = [c.name for c in ds.covariates] + ["time", "event"]
     for name in header[:-2]:
         if name in ("time", "event"):
             raise DataError(f"covariate {name!r} has the name of a response column")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    columns = [(c.values, c.levels) for c in ds.covariates]
-    columns += [(ds.response.time, None), (ds.response.event.astype(np.int64), ("0", "1"))]
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    # each column's values and the function that formats one of them
+    columns = [(c.values, repr if c.levels is None else _csv_cells(c.levels).__getitem__) for c in ds.covariates]
+    columns += [(ds.response.time, repr), (ds.response.event, ("0", "1").__getitem__)]
     for start in range(0, ds.n, _BLOCK):
-        block = [(x[start : start + _BLOCK].tolist(), levels) for x, levels in columns]
-        writer.writerows(zip(*[[repr(v) for v in x] if levels is None else [levels[v] for v in x] for x, levels in block]))
+        cells = [map(cell, x[start : start + _BLOCK].tolist()) for x, cell in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

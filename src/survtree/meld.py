@@ -65,8 +65,12 @@ def meld_score(r: MeldRecord, clamp: bool = False) -> float:
         raise DataError(f"lab values must be positive: {labs}")
     if clamp:
         labs = [max(1.0, v) for v in labs]
-    b, i, c = labs
-    return 3.8 * math.log(b) + 11.2 * math.log(i) + 9.6 * math.log(c) + 6.4 * r.etiology_flag
+    return _meld(*labs, r.etiology_flag)
+
+
+def _meld(bilirubin: float, inr: float, creatinine: float, etiology_flag: int) -> float:
+    """The MELD formula on positive, finite labs and a 0/1 flag, unchecked."""
+    return 3.8 * math.log(bilirubin) + 11.2 * math.log(inr) + 9.6 * math.log(creatinine) + 6.4 * etiology_flag
 
 
 @dataclass(frozen=True)
@@ -205,12 +209,8 @@ def simulate_cohort(cfg: SimConfig) -> Dataset:
         inr = np.exp(rng.normal(0.25, 0.22, n))
         creat = np.exp(rng.normal(0.05, 0.30, n))
         flags = np.where(np.array(etio_levels)[etio_idx] == "alcoholic", 0, 1)
-        meld = np.array(
-            [
-                meld_score(MeldRecord(b, i, c, int(f)))
-                for b, i, c, f in zip(bili, inr, creat, flags)
-            ]
-        )
+        # lognormal labs are positive and finite, so meld_score's checks are moot
+        meld = np.array(list(map(_meld, bili.tolist(), inr.tolist(), creat.tolist(), flags.tolist())))
         meld = np.clip(meld, *MELD_RANGE)
     else:
         meld = np.clip(

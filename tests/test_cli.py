@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survtree.cli
 import survtree.data
 from survtree import ColumnSpec, DataError, Schema, load_csv
 from survtree.cli import main
@@ -58,7 +63,7 @@ def test_simulate_small_n(tmp_path):
 def test_simulate_repeat_identical_bytes(tmp_path):
     a = simulate(tmp_path, "a.csv")
     b = simulate(tmp_path, "b.csv")
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):
@@ -134,7 +139,7 @@ def test_fit_bad_alpha_exits_4(tmp_path):
 def test_fit_recovers_meld_root(tmp_path, capsys):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data)
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     root = next(n for n in doc["nodes"] if n["id"] == 1)
     assert root["kind"] == "internal"
     assert root["covariate"] == "meld"
@@ -146,7 +151,7 @@ def test_fit_recovers_meld_root(tmp_path, capsys):
 def test_fit_tiny_alpha_single_leaf_on_null_data(tmp_path):
     data = simulate(tmp_path, "null.csv", "--hazard-ratio", "1")
     tree_path = fit_tree(tmp_path, data, "leaf.json", "--alpha", "1e-9")
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     assert len(doc["nodes"]) == 1
     assert doc["nodes"][0]["kind"] == "leaf"
 
@@ -154,7 +159,7 @@ def test_fit_tiny_alpha_single_leaf_on_null_data(tmp_path):
 def test_tree_document_round_trip_bytes(tmp_path):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data)
-    text = open(tree_path, encoding="utf-8").read()
+    text = Path(tree_path).read_text(encoding="utf-8")
     assert dumps_canonical(json.loads(text)) + "\n" == text
     doc = json.loads(text)
     assert doc["provenance"]["tool_version"]
@@ -189,7 +194,7 @@ def _fit_while_writing(tmp_path, path, write):
 def test_fit_reads_a_named_pipe_once(tmp_path):
     # the input digest comes from the one read: opening the FIFO again, after
     # its writer has closed, would wait for a new writer for good
-    data = open(simulate(tmp_path), "rb").read()
+    data = Path(simulate(tmp_path)).read_bytes()
     path = str(tmp_path / "cohort.fifo")
     os.mkfifo(path)
 
@@ -202,7 +207,7 @@ def test_fit_reads_a_named_pipe_once(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_fit_records_the_digest_of_the_bytes_it_read_from_a_pipe(tmp_path):
-    data = open(simulate(tmp_path), "rb").read()
+    data = Path(simulate(tmp_path)).read_bytes()
     read_end, write_end = os.pipe()
 
     def write():
@@ -216,6 +221,46 @@ def test_fit_records_the_digest_of_the_bytes_it_read_from_a_pipe(tmp_path):
     assert result == (0, hashlib.sha256(data).hexdigest())
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/stdin"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["fit", "km"])
+def test_stdin_on_a_fifo_whose_writer_has_finished_is_read(tmp_path, command):
+    # `--data /dev/stdin < fifo`: opening the FIFO again would wait for a new
+    # writer for good, so the CLI reads the descriptor it was given
+    cohort = simulate(tmp_path)
+    data = b"".join(Path(cohort).read_bytes().splitlines(keepends=True)[:200])
+    (tmp_path / "head.csv").write_bytes(data)
+    tree = fit_tree(tmp_path, cohort)
+    out = {"fit": ["--time", "time", "--event", "event", "--covariates", COVARIATES, "--out"],
+           "km": ["--tree", tree, "--out-dir"]}[command]
+    assert run(command, "--data", str(tmp_path / "head.csv"), *out, str(tmp_path / "from-file")) == 0
+
+    fifo = str(tmp_path / "head.fifo")
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # does not wait for a writer
+    try:
+        write_end = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            assert os.write(write_end, data) == len(data)  # fits in the pipe
+        finally:
+            os.close(write_end)
+        os.set_blocking(read_end, True)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survtree.cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "survtree.cli", command, "--data", "/dev/stdin", *out, str(tmp_path / "from-stdin")],
+            stdin=read_end, capture_output=True, env=env, timeout=30,
+        )
+    finally:
+        os.close(read_end)
+    assert proc.returncode == 0, proc.stderr
+    if command == "fit":
+        got, want = (tmp_path / "from-stdin").read_bytes(), (tmp_path / "from-file").read_bytes()
+        assert json.loads(got)["provenance"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+    else:
+        got, want = ({name: (tmp_path / d / name).read_bytes() for name in os.listdir(tmp_path / d)}
+                     for d in ("from-stdin", "from-file"))
+    assert got == want
+
+
 def test_fit_montecarlo_seed_recorded(tmp_path):
     data = str(tmp_path / "small.csv")
     assert run("simulate", "--n", "60", "--seed", "4", "--out", data) == 0
@@ -224,7 +269,7 @@ def test_fit_montecarlo_seed_recorded(tmp_path):
                "--covariates", "meld,age", "--minsplit", "10", "--minbucket", "4",
                "--test", "mc:199:42", "--out", tree_path)
     assert code == 0
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     assert doc["provenance"]["seed"] == 42
     assert doc["config"]["test"]["method"] == "montecarlo"
 
@@ -248,7 +293,7 @@ def test_fit_montecarlo_seed_outside_its_range_exits_4(tmp_path, capsys, seed):
 def test_tree_file_with_seed_outside_its_range_exits_3(tmp_path, capsys, seed):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1", "--test", "mc:19:5")
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     doc["config"]["test"]["seed"] = seed
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -261,7 +306,7 @@ def test_tree_file_with_seed_outside_its_range_exits_3(tmp_path, capsys, seed):
 def test_fit_accepts_the_largest_montecarlo_seed(tmp_path, capsys):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1", "--test", f"mc:19:{2**64 - 1}")
-    assert json.load(open(tree_path, encoding="utf-8"))["config"]["test"]["seed"] == 2**64 - 1
+    assert json.loads(Path(tree_path).read_text(encoding="utf-8"))["config"]["test"]["seed"] == 2**64 - 1
     assert run("export-dot", "--tree", tree_path, "--out", str(tmp_path / "t.dot")) == 0
 
 
@@ -270,8 +315,8 @@ def test_export_dot_structure(tmp_path):
     tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1")
     dot_path = str(tmp_path / "t.dot")
     assert run("export-dot", "--tree", tree_path, "--out", dot_path) == 0
-    dot = open(dot_path, encoding="utf-8").read()
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    dot = Path(dot_path).read_text(encoding="utf-8")
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     n_nodes = len(doc["nodes"])
     n_internal = sum(1 for n in doc["nodes"] if n["kind"] == "internal")
     assert dot.count("[label=") == n_nodes + 2 * n_internal
@@ -287,7 +332,7 @@ def test_export_dot_single_leaf(tmp_path):
     tree_path = fit_tree(tmp_path, data, "leaf.json", "--alpha", "1e-9")
     dot_path = str(tmp_path / "leaf.dot")
     assert run("export-dot", "--tree", tree_path, "--out", dot_path) == 0
-    dot = open(dot_path, encoding="utf-8").read()
+    dot = Path(dot_path).read_text(encoding="utf-8")
     assert dot.count("[label=") == 1
     assert "->" not in dot
 
@@ -298,7 +343,7 @@ def test_export_dot_deterministic(tmp_path):
     a, b = str(tmp_path / "a.dot"), str(tmp_path / "b.dot")
     assert run("export-dot", "--tree", tree_path, "--out", a) == 0
     assert run("export-dot", "--tree", tree_path, "--out", b) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_export_dot_malformed_document(tmp_path):
@@ -312,13 +357,13 @@ def test_predict_training_rows_match_leaf_sizes(tmp_path):
     tree_path = fit_tree(tmp_path, data)
     pred_path = str(tmp_path / "pred.csv")
     assert run("predict", "--tree", tree_path, "--data", data, "--out", pred_path) == 0
-    rows = open(pred_path, encoding="utf-8").read().strip().splitlines()[1:]
+    rows = Path(pred_path).read_text(encoding="utf-8").strip().splitlines()[1:]
     assert len(rows) == 529
     counts = {}
     for row in rows:
         _, leaf, _ = row.split(",")
         counts[int(leaf)] = counts.get(int(leaf), 0) + 1
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     for node in doc["nodes"]:
         if node["kind"] == "leaf":
             assert counts.get(node["id"], 0) == int(node["n"])
@@ -330,7 +375,7 @@ def test_predict_single_leaf_everything_root(tmp_path):
     pred_path = str(tmp_path / "pred.csv")
     assert run("predict", "--tree", tree_path, "--data", data, "--out", pred_path) == 0
     leaves = {line.split(",")[1] for line in
-              open(pred_path, encoding="utf-8").read().strip().splitlines()[1:]}
+              Path(pred_path).read_text(encoding="utf-8").strip().splitlines()[1:]}
     assert leaves == {"1"}
 
 
@@ -338,7 +383,7 @@ def test_predict_missing_covariate_row_errors(tmp_path, capsys):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data)
     # blank the meld cell of one data row
-    lines = open(data, encoding="utf-8").read().splitlines()
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     meld_col = header.index("meld")
     cells = lines[3].split(",")
@@ -368,7 +413,7 @@ def test_km_single_leaf_matches_whole_cohort(tmp_path):
     schema = Schema("time", "event", tuple(ColumnSpec(c) for c in COVARIATES.split(",")))
     ds, _ = load_csv(data, schema)
     curve = km_estimate(ds.response.time, ds.response.event)
-    rows = open(os.path.join(out_dir, "leaf_1.csv"), encoding="utf-8").read().strip().splitlines()
+    rows = Path(os.path.join(out_dir, "leaf_1.csv")).read_text(encoding="utf-8").strip().splitlines()
     assert rows[0] == "time,survival"
     assert rows[1] == "0.0,1.0"
     got = [tuple(map(float, r.split(","))) for r in rows[2:]]
@@ -378,13 +423,13 @@ def test_km_single_leaf_matches_whole_cohort(tmp_path):
 def test_km_two_leaves_ordered_at_median_followup(tmp_path):
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data, "t.json", "--max-depth", "1")
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     assert len(doc["nodes"]) == 3
     out_dir = str(tmp_path / "km_two")
     assert run("km", "--tree", tree_path, "--data", data, "--out-dir", out_dir) == 0
 
     def survival_at(path, t):
-        rows = open(path, encoding="utf-8").read().strip().splitlines()[1:]
+        rows = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
         s = 1.0
         for row in rows:
             tt, ss = (float(x) for x in row.split(","))
@@ -409,14 +454,14 @@ def test_km_every_file_has_rows(tmp_path):
     out_dir = str(tmp_path / "km_all")
     assert run("km", "--tree", tree_path, "--data", data, "--out-dir", out_dir) == 0
     for name in os.listdir(out_dir):
-        rows = open(os.path.join(out_dir, name), encoding="utf-8").read().strip().splitlines()
+        rows = Path(os.path.join(out_dir, name)).read_text(encoding="utf-8").strip().splitlines()
         assert rows[0] == "time,survival"
         assert len(rows) >= 2
 
 
 def edit_cells(src, dst, edits):
     """Copy a CSV, replacing cells: edits maps (data row, column) to text."""
-    lines = open(src, encoding="utf-8").read().splitlines()
+    lines = Path(src).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     for (row, column), text in edits.items():
         cells = lines[row + 1].split(",")
@@ -432,7 +477,7 @@ def test_km_drops_only_rows_it_cannot_route(tmp_path, capsys):
     # type do not keep a row out of its leaf, as they do not for predict
     data = simulate(tmp_path)
     tree_path = fit_tree(tmp_path, data)
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     assert {n["covariate"] for n in doc["nodes"] if n["kind"] == "internal"} == {"meld"}
     edited = edit_cells(data, str(tmp_path / "edited.csv"),
                         {(5, "etiology"): "", (9, "blood_type"): "XX"})
@@ -441,8 +486,8 @@ def test_km_drops_only_rows_it_cannot_route(tmp_path, capsys):
     assert run("km", "--tree", tree_path, "--data", edited, "--out-dir", str(tmp_path / "b")) == 0
     assert "dropped" not in capsys.readouterr().err
     for name in ("leaf_2.csv", "leaf_3.csv"):
-        assert (open(tmp_path / "a" / name, "rb").read()
-                == open(tmp_path / "b" / name, "rb").read())
+        assert (Path(tmp_path / "a" / name).read_bytes()
+                == Path(tmp_path / "b" / name).read_bytes())
     pred = str(tmp_path / "pred.csv")
     assert run("predict", "--tree", tree_path, "--data", edited, "--out", pred) == 0
 
@@ -521,24 +566,27 @@ def test_simulate_failing_after_one_block_leaves_no_file(tmp_path, monkeypatch, 
     target = tmp_path / "cohort.csv"
     if exists:
         target.write_text("before", encoding="utf-8")
-    real = csv.writer
+    real = survtree.cli.open_atomic
 
-    class FailingWriter:
-        """Writes the header and the first block of rows, then raises."""
+    class FailingHandle:
+        """Passes the header and the first block of rows to `fh`, then raises
+        on the next write."""
 
-        def __init__(self, fh, **kwargs):
-            self.inner, self.blocks = real(fh, **kwargs), 0
+        def __init__(self, fh):
+            self.fh, self.lines = fh, 0
 
-        def writerow(self, row):
-            self.inner.writerow(row)
-
-        def writerows(self, rows):
-            if self.blocks:
+        def write(self, text):
+            if self.lines > survtree.data._BLOCK:
                 raise error
-            self.blocks += 1
-            self.inner.writerows(rows)
+            self.lines += text.count("\n")
+            return self.fh.write(text)
 
-    monkeypatch.setattr(survtree.data.csv, "writer", FailingWriter)
+    @contextlib.contextmanager
+    def failing_open_atomic(path):
+        with real(path) as fh:
+            yield FailingHandle(fh)
+
+    monkeypatch.setattr(survtree.cli, "open_atomic", failing_open_atomic)
     argv = ("simulate", "--n", str(2 * survtree.data._BLOCK), "--out", str(target))
     if code is None:
         with pytest.raises(RuntimeError):
@@ -557,7 +605,7 @@ def edit_header(src, dst, edit):
     """Copy a CSV with one header defect. "duplicate" renames bmi to meld, so
     meld is named twice; "padded" writes "meld "; "bom" moves meld to the
     first column and starts the file with a UTF-8 byte-order mark."""
-    rows = [line.split(",") for line in open(src, encoding="utf-8").read().splitlines()]
+    rows = [line.split(",") for line in Path(src).read_text(encoding="utf-8").splitlines()]
     header = rows[0]
     if edit == "duplicate":
         header[header.index("bmi")] = "meld"
@@ -624,10 +672,10 @@ def planted(tmp_path_factory):
     assert run("simulate", "--n", "2000", "--seed", "7", "--age-effect", "33.2:2",
                "--hcc-effect", "2", "--out", data) == 0
     tree_path = fit_tree(directory, data)
-    doc = json.load(open(tree_path, encoding="utf-8"))
+    doc = json.loads(Path(tree_path).read_text(encoding="utf-8"))
     nodes = {n["id"]: n for n in doc["nodes"]}
     assert [nodes[i].get("covariate") for i in (1, 2, 3, 6)] == ["meld", "hcc", "hcc", "age"]
-    rows = list(csv.DictReader(open(data, encoding="utf-8")))
+    rows = list(csv.DictReader(Path(data).read_text(encoding="utf-8").splitlines()))
     return data, tree_path, nodes[1]["split"]["cutoff"], rows
 
 
@@ -648,7 +696,7 @@ def test_km_and_predict_keep_a_row_blank_off_its_path(tmp_path, capsys, planted)
     edited_pred = str(tmp_path / "edited_pred.csv")
     assert run("predict", "--tree", tree_path, "--data", data, "--out", plain) == 0
     assert run("predict", "--tree", tree_path, "--data", edited, "--out", edited_pred) == 0
-    assert open(plain, "rb").read() == open(edited_pred, "rb").read()
+    assert Path(plain).read_bytes() == Path(edited_pred).read_bytes()
     code, err, files = km_curves(tmp_path, capsys, tree_path, edited, "edited")
     assert (code, "dropped" in err) == (0, False)
     assert files == km_curves(tmp_path, capsys, tree_path, data, "plain")[2]
@@ -670,7 +718,7 @@ def test_unusable_cell_on_the_path_stops_predict_and_drops_in_km(tmp_path, capsy
     assert "1 of 2000 rows could not be routed" in err
     assert not pred.exists()
 
-    lines = open(data, encoding="utf-8").read().splitlines()
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
     without = tmp_path / "without.csv"
     without.write_text("\n".join(lines[:i + 1] + lines[i + 2:]) + "\n", encoding="utf-8")
     code, err, files = km_curves(tmp_path, capsys, tree_path, edited, "edited")
@@ -681,7 +729,7 @@ def test_unusable_cell_on_the_path_stops_predict_and_drops_in_km(tmp_path, capsy
 @pytest.mark.parametrize("command", ["predict", "km"])
 def test_header_without_split_covariate_exits_3(tmp_path, capsys, planted, command):
     data, tree_path, _, _ = planted
-    rows = [line.split(",") for line in open(data, encoding="utf-8").read().splitlines()]
+    rows = [line.split(",") for line in Path(data).read_text(encoding="utf-8").splitlines()]
     j = rows[0].index("age")
     edited = tmp_path / "edited.csv"
     edited.write_text("\n".join(",".join(r[:j] + r[j + 1:]) for r in rows) + "\n", encoding="utf-8")
@@ -693,7 +741,7 @@ def test_header_without_split_covariate_exits_3(tmp_path, capsys, planted, comma
 @pytest.mark.parametrize("command", ["predict", "km", "export-dot"])
 def test_malformed_tree_structure_exits_3(tmp_path, capsys, command, defect, message):
     data = simulate(tmp_path)
-    doc = json.load(open(fit_tree(tmp_path, data, "t.json", "--max-depth", "1"), encoding="utf-8"))
+    doc = json.loads(Path(fit_tree(tmp_path, data, "t.json", "--max-depth", "1")).read_text(encoding="utf-8"))
     assert len(doc["nodes"]) == 3
     defect(doc)
     bad = tmp_path / "bad.json"
@@ -753,7 +801,7 @@ TREE_FILE_DEFECTS = [(_edit_document(defect), message) for defect, message in VA
 def test_malformed_tree_file_exits_3(tmp_path, capsys, depth_one, command, defect, message):
     data, tree_path = depth_one
     bad = tmp_path / "bad.json"
-    bad.write_bytes(defect(open(tree_path, "rb").read()))
+    bad.write_bytes(defect(Path(tree_path).read_bytes()))
     out = str(tmp_path / "out")
     assert run(command, "--tree", str(bad), *command_argv(command, data, out)) == 3
     assert message in capsys.readouterr().err
@@ -770,7 +818,7 @@ def fuzz_base(tmp_path_factory):
     assert run("fit", "--data", data, "--time", "time", "--event", "event",
                "--covariates", "sex,blood_type:ord,etiology,hcc,meld", "--alpha", "0.5",
                "--out", tree_path) == 0
-    raw = open(tree_path, "rb").read()
+    raw = Path(tree_path).read_bytes()
     splits = [n["split"] for n in json.loads(raw)["nodes"] if n["kind"] == "internal"]
     # blood_type:ord's cut-off is a level index; meld's are near 16
     assert any("subset" in s for s in splits) and any(s.get("cutoff") == 0.0 for s in splits)

@@ -358,6 +358,35 @@ def test_streamed_csv_matches_whole_cohort_formatter(n):
     assert out.getvalue() == whole_cohort_csv(ds)
 
 
+FLOAT_EDGES = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+# a level may hold a delimiter, a quote, a line break or non-ASCII text, but
+# not at its ends (CovariateInfo refuses padded levels)
+LEVELS = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "b", "é", "λ", "中"]), min_size=1, max_size=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    times=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=6),
+    levels=st.lists(LEVELS.filter(lambda s: s == s.strip()), min_size=2, max_size=4, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_csv_matches_whole_cohort_formatter_on_drawn_cells(n, values, times, levels, seed):
+    # each column's cells are drawn from a small pool, so that n can span blocks
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    values, times = np.array(values + FLOAT_EDGES), np.array(times + FLOAT_EDGES)
+    covariates = (
+        Covariate("x", NUMERIC, values[rng.integers(0, values.size, n)]),
+        Covariate("g", CATEGORICAL, rng.integers(0, len(levels), n), levels=levels),
+        Covariate("o", CATEGORICAL, rng.integers(0, len(levels), n), levels=levels[::-1], ordered=True),
+    )
+    ds = Dataset(covariates, SurvivalResponse(times[rng.integers(0, times.size, n)], rng.random(n) < 0.5))
+    out = io.StringIO()
+    dataset_to_csv(ds, out)
+    assert out.getvalue() == whole_cohort_csv(ds)
+
+
 def test_levels_given_as_a_list_are_a_tuple():
     info = Covariate("g", CATEGORICAL, [0, 1], levels=["a", "b"]).info
     assert info.levels == ("a", "b")

@@ -4,9 +4,10 @@ simulate --seed 1 -> fit on all seven covariates (asymptotic and mc:999:7)
 -> export-dot, predict and km. Every artifact and fit's stdout is pinned by
 its sha256, so a refactor of the fitting code that claims to keep every byte
 is checked on the files a user actually gets. `simulate`'s cohort CSV is
-pinned on its own for five generator configs (default, a 25,000-row cohort
-with age and HCC effects, two censoring targets and labs mode), so a change
-to the generator that claims the same bytes is checked too. So is `fit` on the
+pinned on its own for six generator configs (default, a 25,000-row cohort
+with age and HCC effects, two censoring targets, and labs mode at 529 and at
+10,000 rows, three blocks of the writer), so a change to the generator or the
+writer that claims the same bytes is checked too. So is `fit` on the
 25,000-row cohort: deep nodes with many tied times and covariate values,
 which the 529-row pins do not reach. The digests follow from
 numpy's floating-point reductions; a numpy build that sums differently may
@@ -51,6 +52,10 @@ COHORT_PINNED = {
     "censor-0.1": (["--censor-frac", "0.1"], "3b16d38ab3469d530e78457933579771efa4f59264b9f101b97b525793ea4354"),
     "censor-0.9": (["--censor-frac", "0.9"], "c8099ee52206e77c9d5b7e8629d7032c7a937e79189aca1ff8ff5307baa4a1fe"),
     "labs-mode": (["--labs-mode"], "ae26192c683584e2675dd9d5fcca93e03dd1871c55c805f4c122a7342cb0d648"),
+    "labs-mode-n10000": (
+        ["--labs-mode", "--n", "10000"],
+        "c1d84dea5df03abc5e16381bbbd002cb5fe56c928b935f9a950551c56d05cdc7",
+    ),
 }
 
 
