@@ -20,15 +20,7 @@ from .errors import DataError, FitError
 from .influence import encode_covariate, logrank_scores
 from .km import KMCurve, km_estimate
 from .meld import MeldRecord, SimConfig, meld_score, simulate_cohort
-from .partition import (
-    FitConfig,
-    Tree,
-    TreeNode,
-    best_split,
-    fit,
-    predict_node,
-    render_text,
-)
+from .partition import FitConfig, Tree, TreeNode, best_split, fit, predict_node
 from .permstat import (
     SplitTest,
     TestMethod,
@@ -36,6 +28,7 @@ from .permstat import (
     pvalue_asymptotic,
     test_statistic,
 )
+from .treedoc import render_text
 
 __all__ = [
     "CATEGORICAL",

@@ -22,9 +22,9 @@ from .data import ColumnSpec, Schema, dataset_to_csv, load_csv, read_csv_columns
 from .errors import DataError, FitError
 from .km import km_estimate
 from .meld import read_config_file, simconfig_from_strings, simulate_cohort
-from .partition import FitConfig, Tree, fit, render_text, route
+from .partition import FitConfig, Tree, fit, route
 from .permstat import TestMethod
-from .treedoc import dumps_canonical, load_tree, open_atomic, tree_to_document, tree_to_dot, write_atomic
+from .treedoc import dumps_canonical, load_tree, open_atomic, render_text, tree_to_document, tree_to_dot, write_atomic
 
 _KIND_ALIASES = {"num": "numeric", "cat": "categorical", "ord": "ordinal"}
 
@@ -176,30 +176,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _split_covariates(tree: Tree) -> list[str]:
-    """The covariates the tree splits on, in declared order."""
+def _read_and_route(tree: Tree, path: str, response: tuple[str, ...] = ()):
+    """Read the `response` columns and the covariates the tree splits on
+    (declared order) from the CSV at `path`, and route every row: the cells
+    by column name, each row's deepest node, whether it reached a leaf, and
+    the row count."""
     used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
-    return [c.name for c in tree.covariate_info if c.name in used]
-
-
-def _route_cells(tree: Tree, names: list[str], cells: list[list[str]], n: int):
-    """Each row's deepest node, and whether it reached a leaf, from the raw
-    cells of the split covariates `names`."""
-    columns = {name: typed_column(c, tree.info(name).levels) for name, c in zip(names, cells)}
-    node_of = route(tree, columns, n)
-    return node_of, np.isin(node_of, [leaf.id for leaf in tree.leaves()])
+    names = [c.name for c in tree.covariate_info if c.name in used]
+    cells, n = read_csv_columns(path, [*response, *names])
+    column = dict(zip([*response, *names], cells))
+    node_of = route(tree, {name: typed_column(column[name], tree.info(name).levels) for name in names}, n)
+    return column, node_of, np.isin(node_of, [leaf.id for leaf in tree.leaves()]), n
 
 
 def _cmd_predict(args) -> int:
     tree, _ = load_tree(args.tree)
-    names = _split_covariates(tree)
-    cells, n = read_csv_columns(args.data, names)
+    column, node_of, reached, n = _read_and_route(tree, args.data)
     if not n:
         raise DataError(f"{args.data}: no data rows")
-    node_of, reached = _route_cells(tree, names, cells, n)
     stuck = np.flatnonzero(~reached).tolist()
     if stuck:
-        column = dict(zip(names, cells))
         for i in stuck:
             name = tree.nodes[int(node_of[i])].split.covariate
             print(f"row {i}: no usable value for split covariate {name!r}: {column[name][i]!r}", file=sys.stderr)
@@ -221,10 +217,8 @@ _LEAF_FILE = re.compile(r"leaf_\d+\.csv")
 
 def _cmd_km(args) -> int:
     tree, response = load_tree(args.tree)
-    names = _split_covariates(tree)
-    (time_cells, event_cells, *cells), n = read_csv_columns(args.data, [*response, *names])
-    time, event = typed_response(args.data, time_cells, event_cells)
-    node_of, reached = _route_cells(tree, names, cells, n)
+    column, node_of, reached, n = _read_and_route(tree, args.data, response)
+    time, event = typed_response(args.data, *(column[name] for name in response))
     keep = reached & np.isfinite(time) & np.isfinite(event)
     if not keep.any():
         raise DataError(f"{args.data}: zero rows remain after dropping incomplete records")

@@ -280,66 +280,56 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
         time_order, *cov_orders = orders
         time, event = ds.response.time[rows], ds.response.event[rows]
         n_eff = float(w.sum())
-        events_w = float(w[event].sum())
         ev_times, d, r, passed = risk_table(time, event, w, time_order)  # feeds the KM median and the scores
-        base = dict(
-            id=nid,
-            depth=depth,
-            n_effective=n_eff,
-            events=events_w,
+        # the node's fields, collected as its steps run; the first stop reason ends them
+        node = dict(
+            id=nid, depth=depth, n_effective=n_eff, events=float(w[event].sum()),
             km_median=KMCurve(ev_times, np.cumprod(1.0 - d / r)).median,
         )
-
+        stop = None
         if cfg.max_depth is not None and depth >= cfg.max_depth:
-            nodes[nid] = TreeNode(**base, stop_reason="max_depth")
-            continue
-        if n_eff < cfg.minsplit:
-            nodes[nid] = TreeNode(**base, stop_reason="minsplit")
-            continue
+            stop = "max_depth"
+        elif n_eff < cfg.minsplit:
+            stop = "minsplit"
 
-        scores = table_scores(event, d, r, passed)
-        try:
-            designs = [
-                s.take(rows, axis=0) if s.ndim == 2 else weighted_midranks(s[rows], w, order).reshape(-1, 1)
-                for s, order in zip(sources, cov_orders)
-            ]
-            raw = test_statistic(designs, scores, w, cfg.test)
-        except DataError as exc:
-            raise FitError(f"node {nid}: {exc}") from exc
-        p_adj = adjust_pvalues(np.array([p for _, p, _ in raw]))
-        tests = tuple(
-            SplitTest(c.name, cm, pr, float(pa), cfg.test.name)
-            for c, (cm, pr, _), pa in zip(ds.covariates, raw, p_adj)
-        )
-        # ties go to declaration order; p-values within 1e-10 relative count
-        # as tied so that two covariates inducing the same partition are not
-        # ranked by floating-point summation noise. Asymptotic p-values that
-        # underflowed to 0.0 are ranked by their log instead.
-        tied = np.flatnonzero(p_adj <= p_adj.min() * (1.0 + 1e-10))
-        j = int(tied[0])
-        if p_adj[j] == 0.0 and tied.size > 1:
-            j = int(min(tied, key=lambda k: log_pvalue_asymptotic(raw[k][0], raw[k][2])))
-        p_min = float(p_adj[j])
-
-        if p_min > cfg.alpha:
-            nodes[nid] = TreeNode(**base, tests=tests, p_adjusted=p_min, stop_reason="alpha")
-            continue
-        cov = replace(ds.covariates[j], values=ds.covariates[j].values[rows])
-        rule = best_split(w, cov, scores, cfg, cov_orders[j])
-        if rule is None:
-            nodes[nid] = TreeNode(
-                **base, tests=tests, p_adjusted=p_min, stop_reason="minbucket"
+        if stop is None:
+            scores = table_scores(event, d, r, passed)
+            try:
+                designs = [
+                    s.take(rows, axis=0) if s.ndim == 2 else weighted_midranks(s[rows], w, order).reshape(-1, 1)
+                    for s, order in zip(sources, cov_orders)
+                ]
+                raw = test_statistic(designs, scores, w, cfg.test)
+            except DataError as exc:
+                raise FitError(f"node {nid}: {exc}") from exc
+            p_adj = adjust_pvalues(np.array([p for _, p, _ in raw]))
+            # ties go to declaration order; p-values within 1e-10 relative count
+            # as tied so that two covariates inducing the same partition are not
+            # ranked by floating-point summation noise. Asymptotic p-values that
+            # underflowed to 0.0 are ranked by their log instead.
+            tied = np.flatnonzero(p_adj <= p_adj.min() * (1.0 + 1e-10))
+            j = int(tied[0])
+            if p_adj[j] == 0.0 and tied.size > 1:
+                j = int(min(tied, key=lambda k: log_pvalue_asymptotic(raw[k][0], raw[k][2])))
+            node["tests"] = tuple(
+                SplitTest(c.name, cm, pr, float(pa), cfg.test.name)
+                for c, (cm, pr, _), pa in zip(ds.covariates, raw, p_adj)
             )
-            continue
+            node["p_adjusted"] = float(p_adj[j])
+            stop = "alpha" if node["p_adjusted"] > cfg.alpha else None
 
-        left = rule.holds(cov.values, cov.levels)
-        children = (next_id, next_id + 1)
-        next_id += 2
-        nodes[nid] = TreeNode(
-            **base, tests=tests, p_adjusted=p_min, split=rule, children=children
-        )
-        for child, side, child_orders in zip(children, (left, ~left), _split_orders(orders, left)):
-            queue.append((child, rows[side], w[side], child_orders, depth + 1))
+        if stop is None:
+            cov = replace(ds.covariates[j], values=ds.covariates[j].values[rows])
+            rule = best_split(w, cov, scores, cfg, cov_orders[j])
+            stop = "minbucket" if rule is None else None
+
+        if stop is None:
+            left = rule.holds(cov.values, cov.levels)
+            node["split"], node["children"] = rule, (next_id, next_id + 1)
+            next_id += 2
+            for child, side, child_orders in zip(node["children"], (left, ~left), _split_orders(orders, left)):
+                queue.append((child, rows[side], w[side], child_orders, depth + 1))
+        nodes[nid] = TreeNode(**node, stop_reason=stop)
 
     return Tree(nodes=nodes, config=cfg, covariate_info=tuple(c.info for c in ds.covariates))
 
@@ -377,45 +367,3 @@ def route(tree: Tree, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
             left = node.split.holds(x[rows], levels)
             node_of[rows] = np.where(left, *node.children)
     return node_of
-
-
-def describe_rule(rule: SplitRule, info: CovariateInfo) -> tuple[str, str]:
-    """Human-readable (left, right) edge labels for a split."""
-    if rule.cutoff is not None and info.kind == NUMERIC:
-        return f"<= {rule.cutoff:.6g}", f"> {rule.cutoff:.6g}"
-    if rule.cutoff is not None:  # ordered categorical
-        level = info.levels[int(rule.cutoff)]
-        return f"<= {level}", f"> {level}"
-    inside = ", ".join(rule.subset)
-    return f"in {{{inside}}}", f"not in {{{inside}}}"
-
-
-def render_text(tree: Tree) -> str:
-    """Indented text rendering: one line per node, splits as
-    'covariate <= cut-off, p = ...'."""
-    lines: list[str] = []
-
-    def emit(nid: int, indent: int, edge: str) -> None:
-        node = tree.nodes[nid]
-        pad = "  " * indent
-        prefix = f"{pad}[{node.id}]"
-        if edge:
-            prefix += f" ({edge})"
-        med = node.km_median
-        med_s = "NA" if med is None else f"{med:.6g}"
-        if node.is_leaf:
-            lines.append(
-                f"{prefix} leaf: n = {node.n_effective:g}, events = {node.events:g}, "
-                f"median = {med_s}, stop = {node.stop_reason}"
-            )
-            return
-        left_label, right_label = describe_rule(node.split, tree.info(node.split.covariate))
-        lines.append(
-            f"{prefix} {node.split.covariate} {left_label}, "
-            f"p = {node.p_adjusted:.4g}, n = {node.n_effective:g}, events = {node.events:g}"
-        )
-        emit(node.children[0], indent + 1, left_label)
-        emit(node.children[1], indent + 1, right_label)
-
-    emit(1, 0, "")
-    return "\n".join(lines) + "\n"

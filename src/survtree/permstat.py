@@ -57,16 +57,6 @@ EXACT_MAX_N = 10
 
 
 @dataclass(frozen=True)
-class LinearStatistic:
-    """Observed statistic with its conditional moments (p-vectors T, mu and
-    var, the variances sigma_kk)."""
-
-    T: np.ndarray
-    mu: np.ndarray
-    var: np.ndarray
-
-
-@dataclass(frozen=True)
 class SplitTest:
     """Result of one covariate's permutation test inside variable selection."""
 
@@ -109,11 +99,13 @@ def _as_design(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> list[LinearStatistic]:
-    """T, mu and var for each n x p design. The float arrays a and w are
-    checked once (every design's n, weights finite and non-negative, w. >= 2:
-    the permutation variance has a w.-1 denominator) and their moments taken
-    once; each design adds only its own sums."""
+def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> list[tuple]:
+    """(T, mu, var) for each n x p design: the observed statistic and its
+    conditional moments, p-vectors (var holds the variances sigma_kk). The
+    float arrays a and w are checked once (every design's n, weights finite
+    and non-negative, w. >= 2: the permutation variance has a w.-1
+    denominator) and their moments taken once; each design adds only its own
+    sums."""
     if a.ndim != 1 or w.shape != a.shape or any(g.shape[0] != a.shape[0] for g in designs):
         raise DataError("design, scores and weights disagree in length")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -133,7 +125,7 @@ def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) 
         # covariance (tests/mc_oracle.py) bit for bit, and row sums of wg * g do not
         gram_diag = np.diagonal(wg.T @ g)  # sum_i w_i g_ik^2
         var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
-        stats.append(LinearStatistic(T=wg.T @ a, mu=e_hat * g_sum, var=var))
+        stats.append((wg.T @ a, e_hat * g_sum, var))
     return stats
 
 
@@ -253,11 +245,11 @@ def test_statistic(
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
     kept, c_max, dof = [], [], []  # per design, over its non-degenerate coordinates
-    for ls in _linear_statistics(designs, a, w):
-        keep = ls.var > VAR_TOL
-        mu, sd = ls.mu[keep], np.sqrt(ls.var[keep])
+    for T, mu, var in _linear_statistics(designs, a, w):
+        keep = var > VAR_TOL
+        mu, sd = mu[keep], np.sqrt(var[keep])
         kept.append((keep, mu, sd))
-        c_max.append(float((np.abs(ls.T[keep] - mu) / sd).max(initial=0.0)))
+        c_max.append(float((np.abs(T[keep] - mu) / sd).max(initial=0.0)))
         dof.append(int(np.sum(keep)))
     if method.name == "asymptotic":
         p_raw = [pvalue_asymptotic(c, k) for c, k in zip(c_max, dof)]

@@ -1,4 +1,5 @@
-"""Tree serialization: canonical JSON documents, DOT rendering, atomic writes.
+"""Tree serialization and views: canonical JSON documents, text and DOT
+renderings, atomic writes.
 
 JSON is the single source of truth; DOT and text renderings are derived
 views. The document writer is canonical — sorted keys, two-space indent,
@@ -10,9 +11,10 @@ and its document; the loaded `Tree` lacks only the per-node selection
 tests, which documents do not store. `load_tree(path)`, the one reader of
 tree files, returns it with the (time, event) column names and turns every
 file it cannot read, decode, parse or validate into a DataError; what loads
-writes back to the same bytes. `tree_to_dot` renders a `Tree`. Covariate
-metadata is validated by `data.CovariateInfo` and splits by
-`SplitRule.check`, as they are for a fitted tree.
+writes back to the same bytes. `render_text` and `tree_to_dot` render a
+`Tree`, with `describe_rule`'s edge labels. Covariate metadata is validated
+by `data.CovariateInfo` and splits by `SplitRule.check`, as they are for a
+fitted tree.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import tempfile
 from collections import deque
 
 from . import __version__
-from .data import CovariateInfo, SplitRule
+from .data import NUMERIC, CovariateInfo, SplitRule
 from .errors import DataError, FitError
-from .partition import FitConfig, Tree, TreeNode, describe_rule
+from .partition import FitConfig, Tree, TreeNode
 from .permstat import TestMethod
 
 FORMAT_VERSION = 1
@@ -308,6 +310,46 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def describe_rule(rule: SplitRule, info: CovariateInfo) -> tuple[str, str]:
+    """Human-readable (left, right) edge labels for a split."""
+    if rule.cutoff is not None and info.kind == NUMERIC:
+        return f"<= {rule.cutoff:.6g}", f"> {rule.cutoff:.6g}"
+    if rule.cutoff is not None:  # ordered categorical
+        level = info.levels[int(rule.cutoff)]
+        return f"<= {level}", f"> {level}"
+    inside = ", ".join(rule.subset)
+    return f"in {{{inside}}}", f"not in {{{inside}}}"
+
+
+def _leaf_labels(node: TreeNode) -> list[str]:
+    """A leaf's size, event count and KM median, as both views print them."""
+    median = "NA" if node.km_median is None else f"{node.km_median:.6g}"
+    return [f"n = {node.n_effective:g}", f"events = {node.events:g}", f"median = {median}"]
+
+
+def render_text(tree: Tree) -> str:
+    """Indented text rendering: one line per node, splits as
+    'covariate <= cut-off, p = ...'."""
+    lines: list[str] = []
+
+    def emit(nid: int, indent: int, edge: str) -> None:
+        node = tree.nodes[nid]
+        prefix = "  " * indent + f"[{node.id}]" + (f" ({edge})" if edge else "")
+        if node.is_leaf:
+            lines.append(f"{prefix} leaf: {', '.join(_leaf_labels(node))}, stop = {node.stop_reason}")
+            return
+        left_label, right_label = describe_rule(node.split, tree.info(node.split.covariate))
+        lines.append(
+            f"{prefix} {node.split.covariate} {left_label}, "
+            f"p = {node.p_adjusted:.4g}, n = {node.n_effective:g}, events = {node.events:g}"
+        )
+        emit(node.children[0], indent + 1, left_label)
+        emit(node.children[1], indent + 1, right_label)
+
+    emit(1, 0, "")
+    return "\n".join(lines) + "\n"
+
+
 def tree_to_dot(tree: Tree) -> str:
     """DOT digraph: internal nodes show the split variable and p-value, edges
     the split condition, leaves their size, events and KM median. Nodes are
@@ -318,15 +360,7 @@ def tree_to_dot(tree: Tree) -> str:
         '  node [shape=box, fontname="Helvetica"];',
     ]
     for node in nodes:
-        if node.is_leaf:
-            med_s = "NA" if node.km_median is None else f"{node.km_median:.6g}"
-            pieces = [
-                f"n = {node.n_effective:g}",
-                f"events = {node.events:g}",
-                f"median = {med_s}",
-            ]
-        else:
-            pieces = [node.split.covariate, f"p = {node.p_adjusted:.4g}"]
+        pieces = _leaf_labels(node) if node.is_leaf else [node.split.covariate, f"p = {node.p_adjusted:.4g}"]
         label = "\\n".join(_dot_escape(p) for p in pieces)
         lines.append(f'  n{node.id} [label="{label}"];')
     for node in nodes:

@@ -15,7 +15,7 @@ EXACT = TestMethod("exact")
 
 
 def moments(g, a, w):
-    """T, mu and var of one design (an n-vector or n x p matrix)."""
+    """(T, mu, var) of one design (an n-vector or n x p matrix)."""
     a = np.asarray(a, dtype=float)
     return _linear_statistics([np.asarray(g, dtype=float).reshape(a.shape[0], -1)], a, np.asarray(w, dtype=float))[0]
 
@@ -33,24 +33,24 @@ def test_worked_linear_statistic():
     # scores from the 3-event example; T = 2/3 + 2/6 - 15/6 = -1.5 by hand,
     # mu = 0 (scores sum to zero), var = 7/18 * (1.5*14 - 0.5*36) = 7/6
     a = np.array([2 / 3, 1 / 6, -5 / 6])
-    ls = moments(np.array([1.0, 2.0, 3.0]), a, np.ones(3))
-    np.testing.assert_allclose(ls.T, [-1.5], atol=1e-12)
-    np.testing.assert_allclose(ls.mu, [0.0], atol=1e-12)
-    np.testing.assert_allclose(ls.var, [7 / 6], atol=1e-12)
+    T, mu, var = moments(np.array([1.0, 2.0, 3.0]), a, np.ones(3))
+    np.testing.assert_allclose(T, [-1.5], atol=1e-12)
+    np.testing.assert_allclose(mu, [0.0], atol=1e-12)
+    np.testing.assert_allclose(var, [7 / 6], atol=1e-12)
 
 
 def test_constant_scores_degenerate():
     g, a = np.array([1.0, 5.0, 9.0]), np.full(3, 2.5)
-    ls = moments(g, a, np.ones(3))
-    np.testing.assert_allclose(ls.var, np.zeros(1), atol=1e-15)
-    np.testing.assert_allclose(ls.T, ls.mu, atol=1e-12)
+    T, mu, var = moments(g, a, np.ones(3))
+    np.testing.assert_allclose(var, np.zeros(1), atol=1e-15)
+    np.testing.assert_allclose(T, mu, atol=1e-12)
     assert node_test(g, a, np.ones(3))[0] == 0.0
 
 
 def test_one_hot_collects_level_scores():
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ls = moments(g, np.array([1.0, -1.0]), np.ones(2))
-    np.testing.assert_allclose(ls.T, [1.0, -1.0], atol=1e-15)
+    T, _, _ = moments(g, np.array([1.0, -1.0]), np.ones(2))
+    np.testing.assert_allclose(T, [1.0, -1.0], atol=1e-15)
 
 
 def test_total_weight_below_two_rejected():
@@ -86,7 +86,8 @@ def test_node_test_skips_degenerate_coordinates():
     rng = np.random.Generator(np.random.Philox(key=3))
     a, x = rng.normal(size=20), rng.normal(size=20)
     g = np.column_stack((1e-7 * a, x))
-    assert moments(g, a, np.ones(20)).var[0] < permstat.VAR_TOL
+    _, _, var = moments(g, a, np.ones(20))
+    assert var[0] < permstat.VAR_TOL
     c_max, _, dof = node_test(g, a, np.ones(20))
     assert dof == 1
     assert c_max == pytest.approx(node_test(x, a, np.ones(20))[0], rel=1e-12)
@@ -264,14 +265,14 @@ def test_zero_weight_observation_is_inert(rng):
     for g, a, w in cases:
         if w.sum() < 2:
             continue
-        full = moments(g, a, w)
+        T, mu, var = moments(g, a, w)
         keep = w > 0
-        reduced = moments(g[keep], a[keep], w[keep])
-        np.testing.assert_allclose(full.T, reduced.T, atol=1e-12)
-        np.testing.assert_allclose(full.mu, reduced.mu, atol=1e-12)
-        np.testing.assert_allclose(full.var, reduced.var, atol=1e-12)
-        scale = max(1.0, float(np.abs(full.var).max()))
-        assert np.all(full.var >= -1e-10 * scale)
+        T_kept, mu_kept, var_kept = moments(g[keep], a[keep], w[keep])
+        np.testing.assert_allclose(T, T_kept, atol=1e-12)
+        np.testing.assert_allclose(mu, mu_kept, atol=1e-12)
+        np.testing.assert_allclose(var, var_kept, atol=1e-12)
+        scale = max(1.0, float(np.abs(var).max()))
+        assert np.all(var >= -1e-10 * scale)
 
 
 def test_affine_invariance_of_cmax(rng):
@@ -341,7 +342,7 @@ def test_logrank_two_sample_reduction(rng):
     time, event = rng.exponential(50, n), rng.random(n) > 0.3
     group = rng.integers(0, 2, n).astype(float)
     a = logrank_scores(time, event)
-    ls = moments(group, a, np.ones(n))
+    T, _, _ = moments(group, a, np.ones(n))
 
     observed = float(event[group == 1].sum())
     expected = 0.0
@@ -349,7 +350,7 @@ def test_logrank_two_sample_reduction(rng):
         d = float(event[time == s].sum())
         at_risk = time >= s
         expected += d * float((at_risk & (group == 1)).sum()) / float(at_risk.sum())
-    assert ls.T[0] == pytest.approx(observed - expected, abs=1e-10)
+    assert T[0] == pytest.approx(observed - expected, abs=1e-10)
 
 
 def _node_design(kind, n, rng):
@@ -457,7 +458,7 @@ def test_node_test_matches_each_designs_own_linear_statistic(kinds, weights, dat
     node = permstat.test_statistic(designs, a, w)
     for g, result in zip(designs, node):
         assert result == node_test(g, a, w)
-        ls = moments(g, a, w)
-        keep = ls.var > permstat.VAR_TOL
-        z = np.abs(ls.T[keep] - ls.mu[keep]) / np.sqrt(ls.var[keep])
+        T, mu, var = moments(g, a, w)
+        keep = var > permstat.VAR_TOL
+        z = np.abs(T[keep] - mu[keep]) / np.sqrt(var[keep])
         assert result[::2] == (float(z.max()) if keep.any() else 0.0, int(keep.sum()))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import observation
+from test_data import hand_tree
 from survtree import (
     CATEGORICAL,
     NUMERIC,
@@ -18,6 +19,7 @@ from survtree import (
     SurvivalResponse,
     fit,
     predict_node,
+    render_text,
 )
 from survtree.partition import route
 from survtree.treedoc import (
@@ -316,6 +318,56 @@ def test_document_to_dot_renders_the_fitted_tree(planted):
     # the benchmark renders DOT from a document; that must match the tree's own
     tree = fit(planted_dataset(11, 200, planted), FitConfig(minsplit=20, minbucket=7))
     assert document_to_dot(tree_to_document(tree, "time", "event")) == tree_to_dot(tree)
+
+
+def rendered_tree():
+    """hand_tree's numeric, unordered-subset and ordered-level splits, with a
+    root p-value in exponent form, leaves under three stop reasons and one
+    leaf with fractional counts and a KM median (the others have none)."""
+    tree = hand_tree(2.5, ("a", "c"), 1.0)
+    nodes = dict(tree.nodes)
+    nodes[1] = dataclasses.replace(nodes[1], p_adjusted=1.234567e-7, n_effective=40.0, events=20.0)
+    nodes[7] = dataclasses.replace(
+        nodes[7], n_effective=3.5, events=1.25, km_median=412.123456789, stop_reason="minbucket"
+    )
+    nodes[8] = dataclasses.replace(nodes[8], stop_reason="max_depth")
+    return dataclasses.replace(tree, nodes=nodes)
+
+
+def test_text_and_dot_renderings_are_literal():
+    assert render_text(rendered_tree()) == (
+        "[1] x <= 2.5, p = 1.235e-07, n = 40, events = 20\n"
+        "  [2] (<= 2.5) g in {a, c}, p = 0.01, n = 10, events = 5\n"
+        "    [4] (in {a, c}) leaf: n = 10, events = 5, median = NA, stop = alpha\n"
+        "    [5] (not in {a, c}) x <= 0.5, p = 0.01, n = 10, events = 5\n"
+        "      [8] (<= 0.5) leaf: n = 10, events = 5, median = NA, stop = max_depth\n"
+        "      [9] (> 0.5) leaf: n = 10, events = 5, median = NA, stop = alpha\n"
+        "  [3] (> 2.5) o <= mid, p = 0.01, n = 10, events = 5\n"
+        "    [6] (<= mid) leaf: n = 10, events = 5, median = NA, stop = alpha\n"
+        "    [7] (> mid) leaf: n = 3.5, events = 1.25, median = 412.123, stop = minbucket\n"
+    )
+    assert tree_to_dot(rendered_tree()) == (
+        "digraph survival_tree {\n"
+        '  node [shape=box, fontname="Helvetica"];\n'
+        '  n1 [label="x\\np = 1.235e-07"];\n'
+        '  n2 [label="g\\np = 0.01"];\n'
+        '  n3 [label="o\\np = 0.01"];\n'
+        '  n4 [label="n = 10\\nevents = 5\\nmedian = NA"];\n'
+        '  n5 [label="x\\np = 0.01"];\n'
+        '  n6 [label="n = 10\\nevents = 5\\nmedian = NA"];\n'
+        '  n7 [label="n = 3.5\\nevents = 1.25\\nmedian = 412.123"];\n'
+        '  n8 [label="n = 10\\nevents = 5\\nmedian = NA"];\n'
+        '  n9 [label="n = 10\\nevents = 5\\nmedian = NA"];\n'
+        '  n1 -> n2 [label="<= 2.5"];\n'
+        '  n1 -> n3 [label="> 2.5"];\n'
+        '  n2 -> n4 [label="in {a, c}"];\n'
+        '  n2 -> n5 [label="not in {a, c}"];\n'
+        '  n3 -> n6 [label="<= mid"];\n'
+        '  n3 -> n7 [label="> mid"];\n'
+        '  n5 -> n8 [label="<= 0.5"];\n'
+        '  n5 -> n9 [label="> 0.5"];\n'
+        "}\n"
+    )
 
 
 def test_load_tree_returns_the_tree_and_response_names(tmp_path):
