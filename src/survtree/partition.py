@@ -35,7 +35,7 @@ from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, Split
 from .errors import DataError, FitError
 from .influence import encode_covariate, risk_table, table_scores, tie_blocks
 from .km import KMCurve
-from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, log_pvalue_asymptotic, test_statistic
+from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, dot_by_blocks, log_pvalue_asymptotic, test_statistic
 
 MAX_CATEGORICAL_LEVELS = 10
 
@@ -183,8 +183,8 @@ def best_split(
     if not np.all(w > 0):
         raise DataError("best_split needs positive case weights")
     wsum = float(w.sum())
-    e_hat = float(w @ scores) / wsum
-    v_hat = float(w @ ((scores - e_hat) ** 2)) / wsum
+    e_hat = float(dot_by_blocks(w, scores)) / wsum
+    v_hat = float(dot_by_blocks(w, (scores - e_hat) ** 2)) / wsum
 
     numeric = cov.kind == NUMERIC or cov.ordered
     if numeric:

@@ -22,7 +22,10 @@ test_statistic is the one entry point: it checks the TestMethod (the rule a
 fit's config and a tree file's config are checked by) and tests every
 design of a node.
 
-Determinism: Monte-Carlo replicate b draws from a numpy Philox stream keyed
+Determinism: the weighted sums over a node's rows (T, the moments of the
+scores and the Gram diagonal) go through dot_by_blocks, which sums blocks of
+at most DOT_BLOCK rows in row order, so they do not depend on the BLAS
+thread count. Monte-Carlo replicate b draws from a numpy Philox stream keyed
 by key = seed + (b+1) * 2^64, with seed in [0, 2^64), so the returned
 p-value depends only on (inputs, seed, B), never on evaluation order.
 Because replicate b depends only on (seed, b, n_exp), it is the same
@@ -54,6 +57,10 @@ VAR_TOL = 1e-10
 TIE_RTOL = 1e-8
 # exact enumeration bound: at most this many (expanded) observations
 EXACT_MAX_N = 10
+# rows per BLAS call in dot_by_blocks: OpenBLAS splits a dot product of more
+# than 10,000 terms across its threads, and each thread count sums in its own
+# order, while a call of this many rows gives the same bits at any count
+DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,19 @@ def _as_design(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def dot_by_blocks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.T @ y, for x and y of n rows (vectors or matrices), summed over
+    blocks of at most DOT_BLOCK rows in row order, so that the result does
+    not depend on the BLAS thread count. Up to DOT_BLOCK rows it is the one
+    BLAS call x.T @ y."""
+    if x.shape[0] <= DOT_BLOCK:  # nearly every node: no slicing, no loop
+        return x.T @ y
+    total = x[:DOT_BLOCK].T @ y[:DOT_BLOCK]
+    for start in range(DOT_BLOCK, x.shape[0], DOT_BLOCK):
+        total = total + x[start:start + DOT_BLOCK].T @ y[start:start + DOT_BLOCK]
+    return total
+
+
 def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> list[tuple]:
     """(T, mu, var) for each n x p design: the observed statistic and its
     conditional moments, p-vectors (var holds the variances sigma_kk). The
@@ -113,19 +133,20 @@ def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) 
     wsum = w.sum()
     if wsum < 2:
         raise DataError(f"total case weight {wsum} < 2: nothing to test")
-    e_hat = float(w @ a) / wsum
+    e_hat = float(dot_by_blocks(w, a)) / wsum
     centered = a - e_hat
-    v_hat = float(w @ (centered * centered)) / wsum
+    v_hat = float(dot_by_blocks(w, centered * centered)) / wsum
 
     stats = []
     for g in designs:
         wg = g * w[:, None]            # n x p
         g_sum = wg.sum(axis=0)         # p
-        # exactly this product and grouping: they match the diagonal of the full
-        # covariance (tests/mc_oracle.py) bit for bit, and row sums of wg * g do not
-        gram_diag = np.diagonal(wg.T @ g)  # sum_i w_i g_ik^2
+        # exactly this product and grouping: up to DOT_BLOCK rows they match the
+        # diagonal of the full covariance (tests/mc_oracle.py) bit for bit, and
+        # row sums of wg * g do not
+        gram_diag = np.diagonal(dot_by_blocks(wg, g))  # sum_i w_i g_ik^2
         var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
-        stats.append((wg.T @ a, e_hat * g_sum, var))
+        stats.append((dot_by_blocks(wg, a), e_hat * g_sum, var))
     return stats
 
 

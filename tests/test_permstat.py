@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from brute_oracle import TIE_RTOL, brute_force_cmax, brute_force_pvalue
 from mc_oracle import montecarlo_test
 from survtree import DataError, FitError, TestMethod, adjust_pvalues, logrank_scores, pvalue_asymptotic
+import survtree
 from survtree import permstat
 from survtree.permstat import _linear_statistics, _normal_upper_tail, log_pvalue_asymptotic
 
@@ -462,3 +466,43 @@ def test_node_test_matches_each_designs_own_linear_statistic(kinds, weights, dat
         keep = var > permstat.VAR_TOL
         z = np.abs(T[keep] - mu[keep]) / np.sqrt(var[keep])
         assert result[::2] == (float(z.max()) if keep.any() else 0.0, int(keep.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 7, permstat.DOT_BLOCK, permstat.DOT_BLOCK + 1, 3 * permstat.DOT_BLOCK + 5])
+def test_dot_by_blocks_sums_blocks_in_row_order(rng, n):
+    w, a, g = rng.random(n), rng.normal(size=n), rng.random((n, 3))
+    for x, y in ((w, a), (g, a), (g, g), (g[:, :1], g[:, :1])):
+        got = permstat.dot_by_blocks(x, y)
+        if n <= permstat.DOT_BLOCK:  # one BLAS call, as x.T @ y makes it
+            assert np.array_equal(got, x.T @ y)
+        want = x[:permstat.DOT_BLOCK].T @ y[:permstat.DOT_BLOCK]
+        for start in range(permstat.DOT_BLOCK, n, permstat.DOT_BLOCK):
+            want = want + x[start:start + permstat.DOT_BLOCK].T @ y[start:start + permstat.DOT_BLOCK]
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, x.T @ y, rtol=1e-12)
+
+
+DOT_SCRIPT = """
+import numpy as np, sys
+from survtree.permstat import dot_by_blocks
+rng = np.random.default_rng(3)
+n = 200_003
+w, a = rng.random(n), rng.normal(size=n)
+for p in (1, 4, 10):
+    wg = rng.random((n, p)) * w[:, None]
+    sys.stdout.write(dot_by_blocks(wg, a).tobytes().hex() + dot_by_blocks(wg, wg).tobytes().hex())
+sys.stdout.write(dot_by_blocks(w, a).tobytes().hex())
+"""
+
+
+def test_dot_by_blocks_bits_do_not_depend_on_the_blas_thread_count():
+    # unblocked, w @ a and the p = 1 and p = 4 products of this size differ
+    # in their last bits between one and two OpenBLAS threads
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survtree.__file__)))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        proc = subprocess.run([sys.executable, "-c", DOT_SCRIPT], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]

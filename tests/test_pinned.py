@@ -9,16 +9,21 @@ with age and HCC effects, two censoring targets, and labs mode at 529 and at
 10,000 rows, three blocks of the writer), so a change to the generator or the
 writer that claims the same bytes is checked too. So is `fit` on the
 25,000-row cohort: deep nodes with many tied times and covariate values,
-which the 529-row pins do not reach. The digests follow from
-numpy's floating-point reductions; a numpy build that sums differently may
-move them, and then every pin here moves together.
+which the 529-row pins do not reach; that fit is also run in fresh processes
+under one and under two BLAS threads, since its nodes hold more rows than
+one BLAS call sums in a fixed order. The digests follow from numpy's
+floating-point reductions; a numpy build that sums differently may move
+them, and then every pin here moves together.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import survtree
 from survtree.cli import main
 
 COVARIATES = "sex,age,blood_type,bmi,etiology,hcc,meld"
@@ -61,7 +66,7 @@ COHORT_PINNED = {
 
 FIT_25K_PINNED = {
     "fit.stdout": "e2a4ecb6398c1aef111e4c70b5f5b69e5bdb087db291fbaa26d8d2a573b3e116",
-    "tree.json": "c8bfffed58f80d3bf56f61feb448e5a41b7117da8719ce1b28acf3ce7ab8b8cc",
+    "tree.json": "370c8c3b7a7366502bcfe684df221bad1c04f7f27e04b2ad4dd3d473e36a6952",
 }
 
 
@@ -110,3 +115,19 @@ def test_fit_on_the_25k_cohort_is_pinned(tmp_path, capsys):
                  "--covariates", COVARIATES, "--out", str(tree)]) == 0
     digests = {"fit.stdout": _sha256(capsys.readouterr().out.encode("utf-8")), "tree.json": _sha256(tree.read_bytes())}
     assert digests == FIT_25K_PINNED
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fit_on_the_25k_cohort_is_pinned_at_any_blas_thread_count(tmp_path, capsys, threads):
+    cohort, tree = str(tmp_path / "cohort.csv"), tmp_path / "tree.json"
+    assert main(["simulate", "--seed", "1", *COHORT_PINNED["n25000-age-hcc"][0], "--out", cohort]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survtree.__file__)))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+    proc = subprocess.run(
+        [sys.executable, "-m", "survtree.cli", "fit", "--data", cohort, "--time", "time", "--event", "event",
+         "--covariates", COVARIATES, "--out", str(tree)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {"fit.stdout": _sha256(proc.stdout), "tree.json": _sha256(tree.read_bytes())} == FIT_25K_PINNED
