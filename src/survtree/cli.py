@@ -78,17 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
-    sim.add_argument("--n", type=int, default=None, help="cohort size (default 529)")
-    sim.add_argument("--seed", type=int, default=None, help="RNG seed (default 1)")
-    sim.add_argument("--threshold", type=float, default=None, help="MELD hazard jump location (default 16)")
-    sim.add_argument("--hazard-ratio", type=float, default=None, help="hazard multiplier at/above the threshold (default 3)")
-    sim.add_argument("--censor-frac", type=float, default=None, help="target censored fraction (default 0.64)")
-    sim.add_argument("--base-hazard", type=float, default=None, help="baseline events/day (default 5e-4)")
-    sim.add_argument("--age-effect", type=_parse_age_effect, default=None, metavar="THRESHOLD:RATIO",
+    sim.add_argument("--n", type=int, help="cohort size (default 529)")
+    sim.add_argument("--seed", type=int, help="RNG seed (default 1)")
+    sim.add_argument("--threshold", type=float, dest="meld_threshold", metavar="THRESHOLD",
+                     help="MELD hazard jump location (default 16)")
+    sim.add_argument("--hazard-ratio", type=float, help="hazard multiplier at/above the threshold (default 3)")
+    sim.add_argument("--censor-frac", type=float, dest="censor_fraction_target", metavar="CENSOR_FRAC",
+                     help="target censored fraction (default 0.64)")
+    sim.add_argument("--base-hazard", type=float, help="baseline events/day (default 5e-4)")
+    sim.add_argument("--age-effect", type=_parse_age_effect, metavar="THRESHOLD:RATIO",
                      help="extra hazard multiplier for age <= threshold")
-    sim.add_argument("--hcc-effect", type=float, default=None, metavar="RATIO",
+    sim.add_argument("--hcc-effect", type=float, dest="hcc_effect_ratio", metavar="RATIO",
                      help="extra hazard multiplier for HCC carriers")
-    sim.add_argument("--labs-mode", action=argparse.BooleanOptionalAction, default=None,
+    sim.add_argument("--labs-mode", action=argparse.BooleanOptionalAction,
                      help="draw labs and push them through the MELD formula")
     sim.add_argument("--config", default=None, help="flat key=value config file (flags win)")
     sim.add_argument("--out", required=True, help="output CSV path")
@@ -99,12 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     fitp.add_argument("--event", required=True, help="event column name (0/1 or true/false)")
     fitp.add_argument("--covariates", required=True, type=_parse_covariates,
                       help="comma list of covariate columns, each 'name[:num|cat|ord]'")
-    fitp.add_argument("--alpha", type=float, default=0.05)
-    fitp.add_argument("--minsplit", type=float, default=20.0)
-    fitp.add_argument("--minbucket", type=float, default=7.0)
-    fitp.add_argument("--max-depth", type=int, default=None)
-    fitp.add_argument("--test", type=_parse_test, default=TestMethod("asymptotic"),
-                      help="asymptotic | mc:REPLICATES:SEED | exact")
+    fitp.add_argument("--alpha", type=float)
+    fitp.add_argument("--minsplit", type=float)
+    fitp.add_argument("--minbucket", type=float)
+    fitp.add_argument("--max-depth", type=int)
+    fitp.add_argument("--test", type=_parse_test, help="asymptotic | mc:REPLICATES:SEED | exact")
     fitp.add_argument("--out", required=True, help="output tree JSON path")
 
     pred = sub.add_parser("predict", help="route CSV rows to tree leaves")
@@ -124,25 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_flags(config, args):
+    """`config` with each field whose same-named flag was given (not None)
+    set to the flag's value: the config's own defaults stand for the rest."""
+    fields = dataclasses.fields(config)
+    return dataclasses.replace(config, **{f.name: v for f in fields if (v := getattr(args, f.name, None)) is not None})
+
+
 def _cmd_simulate(args) -> int:
     raw = read_config_file(args.config) if args.config else {}
-    cfg = simconfig_from_strings(raw)
-    overrides: dict = {}
-    for flag, field in (
-        ("n", "n"),
-        ("seed", "seed"),
-        ("threshold", "meld_threshold"),
-        ("hazard_ratio", "hazard_ratio"),
-        ("censor_frac", "censor_fraction_target"),
-        ("base_hazard", "base_hazard"),
-        ("age_effect", "age_effect"),
-        ("hcc_effect", "hcc_effect_ratio"),
-        ("labs_mode", "labs_mode"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    cfg = dataclasses.replace(cfg, **overrides)
+    cfg = _with_flags(simconfig_from_strings(raw), args)
     ds = simulate_cohort(cfg)
     with open_atomic(args.out) as fh:
         dataset_to_csv(ds, fh)
@@ -161,13 +153,7 @@ def _cmd_fit(args) -> int:
     ds, dropped = load_csv(args.data, schema, digest)
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
-    cfg = FitConfig(
-        alpha=args.alpha,
-        minsplit=args.minsplit,
-        minbucket=args.minbucket,
-        max_depth=args.max_depth,
-        test=args.test,
-    )
+    cfg = _with_flags(FitConfig(), args)
     tree = fit(ds, cfg)
     seed = cfg.test.seed if cfg.test.name == "montecarlo" else None
     doc = tree_to_document(tree, args.time, args.event, digest.hexdigest(), seed)

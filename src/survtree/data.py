@@ -314,15 +314,15 @@ def usable(x, levels: tuple[str, ...] | None):
     return x >= 0 if levels is not None else x == x
 
 
-def _by_distinct(cells: list[str], f, dtype, distinct=None) -> np.ndarray:
-    """`f` of each cell, computed once per distinct string (`distinct`, if
-    the caller holds them)."""
-    index = {c: f(c) for c in (set(cells) if distinct is None else distinct)}
+def _by_distinct(cells: list[str], f, dtype) -> np.ndarray:
+    """`f` of each cell, computed once per distinct string."""
+    index = {c: f(c) for c in set(cells)}
     return np.array([index[c] for c in cells], dtype=dtype)
 
 
 def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.ndarray:
-    """`typed_value` of each cell."""
+    """`typed_value` of each cell, typed once per distinct cell; levels are
+    looked up in a map made once, so K distinct cells type in O(K)."""
     if levels is None:
         try:
             x = np.array(cells, dtype=float)  # numpy parses each cell as float() does
@@ -330,7 +330,8 @@ def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.
             return _by_distinct(cells, typed_value, float)
         x[~np.isfinite(x)] = np.nan
         return x
-    return _by_distinct(cells, lambda c: typed_value(c, levels), np.int64)
+    at = {level: i for i, level in enumerate(levels)}
+    return _by_distinct(cells, lambda c: at.get(c.strip(), -1), np.int64)
 
 
 def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +362,6 @@ def _typed_covariate(spec: ColumnSpec, cells: list[str]) -> tuple[np.ndarray, tu
     remain", not as bad levels."""
     if spec.kind == NUMERIC:
         return typed_column(cells), None
-    distinct = None
     if spec.kind == "auto":
         try:
             values = np.array(cells, dtype=float)  # as in typed_column
@@ -374,9 +374,8 @@ def _typed_covariate(spec: ColumnSpec, cells: list[str]) -> tuple[np.ndarray, tu
             if not any(cells[i].strip() for i in np.flatnonzero(nan)):
                 values[nan] = np.nan
                 return values, None
-    distinct = set(cells) if distinct is None else distinct.keys()
-    levels = spec.levels or tuple(sorted({c.strip() for c in distinct} - {""}))
-    return _by_distinct(cells, lambda c: typed_value(c, levels), np.int64, distinct), levels
+    levels = spec.levels or tuple(sorted({c.strip() for c in set(cells)} - {""}))
+    return typed_column(cells, levels), levels
 
 
 def load_csv(path: str, schema: Schema, digest=None) -> tuple[Dataset, int]:

@@ -61,7 +61,7 @@ def event_table(
     finite, non-negative and not all zero.
     """
     time, event, weights = _checked(time, event, weights)
-    return _tally(time, event, weights, time.argsort())[:3]
+    return risk_table(time, event, weights, time.argsort())[:3]
 
 
 def risk_table(
@@ -76,18 +76,9 @@ def risk_table(
     zero `np.unique` reports for it (`np.unique` sorts with `np.argsort`'s
     default quicksort, so from that order every time is `np.unique`'s).
     """
-    times, d, r, tie, has_event = _tally(time, event, weights, order)
-    return times, d, r, has_event.cumsum()[tie]
-
-
-def _tally(
-    time: np.ndarray, event: np.ndarray, weights: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`risk_table`'s (times, d, r), each row's tie (0, 1, ... in time order)
-    and which ties hold an event."""
     ts = time[order]
     starts, block = tie_blocks(ts)
-    tie = np.empty_like(block)  # each row's tie, in row order
+    tie = np.empty_like(block)  # each row's tie (0, 1, ... in time order), in row order
     tie[order] = block
     d = np.bincount(tie, weights=np.where(event, weights, 0.0))
     w_at = np.bincount(tie, weights=weights)
@@ -99,7 +90,7 @@ def _tally(
         zero_signs = np.signbit(ts[ts == 0.0])
         if zero_signs.any() and not zero_signs.all():
             times = np.unique(time, return_inverse=True)[0]
-    return times[has_event], d[has_event], r[has_event], tie, has_event
+    return times[has_event], d[has_event], r[has_event], has_event.cumsum()[tie]
 
 
 def logrank_scores(

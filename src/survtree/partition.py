@@ -201,11 +201,11 @@ def best_split(
         ]
         w_left = np.array([w_level[members].sum() for members in subsets])
         T = np.array([s_level[members].sum() for members in subsets])
-    stat = _indicator_stats(T, w_left, wsum, e_hat, v_hat)
+    # with a feasible split, wsum >= 2 * minbucket >= 2, so the variance's wsum - 1 is positive
     feasible = (w_left >= cfg.minbucket) & (wsum - w_left >= cfg.minbucket)
     if not np.any(feasible):
         return None
-    stat = np.where(feasible, stat, -np.inf)
+    stat = np.where(feasible, _indicator_stats(T, w_left, wsum, e_hat, v_hat), -np.inf)
     top = stat.max()
     best = int(np.flatnonzero(stat >= top - 1e-12 * max(1.0, abs(top)))[0])
     if numeric:

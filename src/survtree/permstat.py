@@ -110,9 +110,7 @@ def dot_by_blocks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x.T @ y, for x and y of n rows (vectors or matrices), summed over
     blocks of at most DOT_BLOCK rows in row order, so that the result does
     not depend on the BLAS thread count. Up to DOT_BLOCK rows it is the one
-    BLAS call x.T @ y."""
-    if x.shape[0] <= DOT_BLOCK:  # nearly every node: no slicing, no loop
-        return x.T @ y
+    BLAS call x.T @ y, on views of the whole of x and y."""
     total = x[:DOT_BLOCK].T @ y[:DOT_BLOCK]
     for start in range(DOT_BLOCK, x.shape[0], DOT_BLOCK):
         total = total + x[start:start + DOT_BLOCK].T @ y[start:start + DOT_BLOCK]

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import survtree.cli
 import survtree.data
-from survtree import ColumnSpec, DataError, Schema, load_csv
+from survtree import ColumnSpec, DataError, Schema, SimConfig, dataset_to_csv, load_csv, simulate_cohort
 from survtree.cli import main
 from survtree.treedoc import dumps_canonical, load_tree, tree_to_document
 from test_treedoc import STRUCTURAL_DEFECTS, VALUE_DEFECTS
@@ -73,6 +75,50 @@ def test_simulate_config_file_with_flag_override(tmp_path):
     assert run("simulate", "--config", str(cfg), "--n", "12", "--out", out) == 0
     with open(out, encoding="utf-8") as fh:
         assert len(fh.read().strip().splitlines()) == 13  # flag wins over file
+
+
+def cohort_csv(cfg):
+    out = io.StringIO()
+    dataset_to_csv(simulate_cohort(cfg), out)
+    return out.getvalue().encode("utf-8")
+
+
+SIMULATE_FLAGS = [
+    (["--n", "40"], "n", 40),
+    (["--seed", "5"], "seed", 5),
+    (["--threshold", "20"], "meld_threshold", 20.0),
+    (["--hazard-ratio", "1.5"], "hazard_ratio", 1.5),
+    (["--censor-frac", "0.4"], "censor_fraction_target", 0.4),
+    (["--base-hazard", "0.002"], "base_hazard", 0.002),
+    (["--age-effect", "40:2.5"], "age_effect", (40.0, 2.5)),
+    (["--hcc-effect", "2"], "hcc_effect_ratio", 2.0),
+    (["--labs-mode"], "labs_mode", True),
+]
+
+
+@pytest.mark.parametrize("flags, field, value", SIMULATE_FLAGS, ids=[f[0][0] for f in SIMULATE_FLAGS])
+def test_each_simulate_flag_sets_its_config_field(tmp_path, flags, field, value):
+    out = tmp_path / "c.csv"
+    assert run("simulate", *flags, "--out", str(out)) == 0
+    want = cohort_csv(dataclasses.replace(SimConfig(), **{field: value}))
+    assert want != cohort_csv(SimConfig())  # the field shows in the cohort
+    assert out.read_bytes() == want
+
+
+def test_simulate_no_labs_mode_flag_beats_the_config_file(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("labs_mode = true\n", encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert run("simulate", "--config", str(cfg), "--no-labs-mode", "--out", str(out)) == 0
+    assert out.read_bytes() == cohort_csv(SimConfig())  # False is a given flag, not an absent one
+
+
+def test_each_fit_flag_reaches_the_tree_config(tmp_path):
+    flags = ("--alpha", "0.1", "--minsplit", "30", "--minbucket", "10", "--max-depth", "2", "--test", "mc:99:7")
+    tree = fit_tree(tmp_path, simulate(tmp_path), "tree.json", *flags)
+    config = json.loads(Path(tree).read_text(encoding="utf-8"))["config"]
+    assert (config["alpha"], config["minsplit"], config["minbucket"], config["max_depth"]) == (0.1, 30.0, 10.0, 2)
+    assert config["test"] == {"method": "montecarlo", "replicates": 99, "seed": 7}
 
 
 def test_simulate_config_not_utf8_exits_3(tmp_path, capsys):

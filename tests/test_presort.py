@@ -7,7 +7,7 @@ orders split from a parent's.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import presort_oracle as oracle
@@ -87,6 +87,10 @@ def test_presorted_risk_table_and_scores_match_per_node_sorts(node):
 
 @settings(max_examples=150, deadline=None)
 @given(parents(), st.integers(1, 6))
+# children of total weight 1 and no events: no split is feasible, and the
+# split statistics' variance, over w. - 1 = 0, must not be computed
+@example((np.array([-0.0, -0.0]), np.array([False, False]), np.array([0.5, 0.5]), np.array([-0.0, 0.5]),
+          np.array([False, False])), 1)
 def test_presorted_best_split_matches_the_per_node_sort(node, minbucket):
     cfg = FitConfig(minsplit=2 * minbucket, minbucket=minbucket)
     for time, event, w, x, _, x_order in nodes(*node):
