@@ -243,13 +243,19 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            repeated = sorted({h for h in header if h and header.count(h) > 1})
+            position: dict[str, int] = {}  # each name's first column
+            repeated = set()
+            for i, h in enumerate(header):
+                if h not in position:
+                    position[h] = i
+                elif h:
+                    repeated.add(h)
             if repeated:
-                raise DataError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
+                raise DataError(f"{path}: header names {', '.join(map(repr, sorted(repeated)))} more than once")
             for name in names:
-                if name not in header:
+                if name not in position:
                     raise DataError(f"{path}: column {name!r} not in header {header}")
-            index = [header.index(name) for name in names]
+            index = [position[name] for name in names]
             width = max(index, default=-1) + 1
             columns: list[list[str]] = [[] for _ in names]
             n = 0

@@ -195,50 +195,51 @@ def log_pvalue_asymptotic(c_max: float, dof: int) -> float:
     )
 
 
-def _philox_permutations(n_exp: int, B: int, seed: int):
-    """Monte-Carlo replicates in batches: row b is the permutation of
-    range(n_exp) drawn from the Philox stream keyed seed + (b+1) * 2^64.
-    One Philox is reset to each key and one buffer is refilled in place, so
-    a batch is valid until the next."""
+def _philox_permutations(a_exp: np.ndarray, B: int, seed: int):
+    """Monte-Carlo replicates in batches: row b is the expanded scores a_exp
+    shuffled by the Philox stream keyed seed + (b+1) * 2^64, which for 8-byte
+    items makes the swaps permutation(n_exp) makes, so it is
+    a_exp[permutation(n_exp)] bit for bit. One Philox is reset to each key
+    and one buffer is refilled in place, so a batch is valid until the next."""
     bit_generator = np.random.Philox(key=int(seed))
     state = bit_generator.state  # key (seed, 0), counter and buffer as built
     key = state["state"]["key"]
     rng = np.random.Generator(bit_generator)
-    batch = max(1, 2_000_000 // n_exp)
-    perms = np.empty((min(batch, B), n_exp), dtype=np.int64)
+    # not a tuning knob: it fixes the rows of each BLAS product a_perm @ g_exp,
+    # and a product of another row count can give a replicate other bits
+    batch = max(1, 2_000_000 // a_exp.size)
+    rows = np.empty((min(batch, B), a_exp.size))
     for start in range(0, B, batch):
         stop = min(B, start + batch)
         for b in range(start, stop):
             key[1] = b + 1
             bit_generator.state = state
-            perms[b - start] = rng.permutation(n_exp)
-        yield perms[: stop - start]
+            rows[b - start] = a_exp
+            rng.shuffle(rows[b - start])
+        yield rows[: stop - start]
 
 
-def _all_permutations(n_exp: int):
-    """Every permutation of range(n_exp), in batches of at most 8!."""
-    perm_iter = itertools.permutations(range(n_exp))
+def _all_permutations(a_exp: np.ndarray):
+    """a_exp permuted every way, in batches of at most 8! rows."""
+    perm_iter = itertools.permutations(range(a_exp.shape[0]))
     while chunk := list(itertools.islice(perm_iter, 40320)):
-        yield np.array(chunk, dtype=np.int64)
+        yield a_exp[np.array(chunk, dtype=np.int64)]
 
 
-def _count_hits(designs, kept, c_obs, a, slots, batches) -> list[int]:
-    """Per design, how many permuted score rows (batches of index rows over
-    the expanded multiset `slots`) reach its observed c_max, ties counted
-    with TIE_RTOL slack. `kept` holds each design's (keep, mu, sd) over its
+def _count_hits(designs, kept, c_obs, slots, batches) -> list[int]:
+    """Per design, how many permuted score rows (batches of rows over the
+    expanded multiset `slots`) reach its observed c_max, ties counted with
+    TIE_RTOL slack. `kept` holds each design's (keep, mu, sd) over its
     non-degenerate coordinates. Each batch is scored against every design."""
-    a_exp = a[slots]
     prepared = [
         (g[slots], keep, mu, sd, c - TIE_RTOL * max(1.0, c))
         for g, (keep, mu, sd), c in zip(designs, kept, c_obs)
     ]
     hits = [0] * len(prepared)
-    for perms in batches:
-        a_perm = a_exp[perms]
+    for a_perm in batches:
         for j, (g_exp, keep, mu, sd, threshold) in enumerate(prepared):
             z = np.abs((a_perm @ g_exp)[:, keep] - mu) / sd
             hits[j] += int(np.sum(z.max(axis=1, initial=0.0) >= threshold))
-        del a_perm  # free it before the next batch is indexed
     return hits
 
 
@@ -277,15 +278,16 @@ def test_statistic(
     if not np.all(w == np.rint(w)):
         raise DataError("resampling requires integer case weights")
     slots = np.repeat(np.arange(w.shape[0]), w.astype(np.int64))  # weight-expanded
+    a_exp = a[slots]
     n_exp = slots.shape[0]
     if method.name == "montecarlo":
-        batches = _philox_permutations(n_exp, method.replicates, method.seed)
-        hits = _count_hits(designs, kept, c_max, a, slots, batches)
+        batches = _philox_permutations(a_exp, method.replicates, method.seed)
+        hits = _count_hits(designs, kept, c_max, slots, batches)
         p_raw = [(1.0 + h) / (method.replicates + 1.0) for h in hits]
     else:
         if n_exp > EXACT_MAX_N:
             raise DataError(f"exact enumeration needs <= {EXACT_MAX_N} observations, got {n_exp}")
-        hits = _count_hits(designs, kept, c_max, a, slots, _all_permutations(n_exp))
+        hits = _count_hits(designs, kept, c_max, slots, _all_permutations(a_exp))
         p_raw = [h / math.factorial(n_exp) for h in hits]
     return list(zip(c_max, p_raw, dof))
 

@@ -634,3 +634,37 @@ def test_typed_column_with_many_levels_runs_in_linear_time():
     elapsed = time.perf_counter() - start
     assert x.tolist() == order.tolist()
     assert elapsed < 1.0, f"typed_column over {n} levels took {elapsed:.2f} s"
+
+
+def test_wide_header_is_checked_in_one_pass(tmp_path):
+    # one pass over the header: a scan per header cell takes seconds here
+    header = [f"c{i}" for i in range(20_000)]
+    path = write(tmp_path, ",".join(header) + "\n" + ",".join("1" * 20_000) + "\n")
+    start = time.perf_counter()
+    cells, n = read_csv_columns(path, ["c19999", "c0", "c7"])
+    assert time.perf_counter() - start < 1.0
+    assert (cells, n) == ([["1"], ["1"], ["1"]], 1)
+
+
+@pytest.mark.parametrize(
+    "header, names",
+    [
+        ("b,a, b ,,a,,c", ["c"]),  # repeated names, sorted; blank names may repeat
+        (",x,,y", ["y", "z"]),  # a named column missing
+        (",x,,y", ["y", "", "x"]),  # a blank name reads its first column
+    ],
+)
+def test_header_errors_and_positions_match_the_oracle(tmp_path, header, names):
+    path = write(tmp_path, header + "\n" + "0,1,2,3,4,5,6\n")
+    try:
+        oracle_header, rows, _ = csv_oracle.read_csv_table(path)
+        for name in names:
+            if name not in oracle_header:
+                raise csv_oracle.OracleError(f"{path}: column {name!r} not in header {oracle_header}")
+    except csv_oracle.OracleError as exc:
+        with pytest.raises(DataError) as raised:
+            read_csv_columns(path, names)
+        assert str(raised.value) == str(exc)
+    else:
+        cells, _ = read_csv_columns(path, names)
+        assert cells == [[rows[0][oracle_header.index(name)]] for name in names]

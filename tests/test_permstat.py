@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,3 +507,43 @@ def test_dot_by_blocks_bits_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("n_exp", [1, 2, 3, 529, 8193])
+def test_philox_replicates_are_the_scores_permuted_by_their_own_stream(rng, n_exp):
+    # replicate b is a_exp[permutation(n_exp)] from the stream keyed
+    # seed + (b+1) * 2^64, bit for bit; at n_exp = 529 the rows cross a batch
+    seed = 2**64 - 3
+    a_exp = rng.normal(size=n_exp)
+    B = 2_000_000 // n_exp + 5 if n_exp == 529 else 7
+    b = 0
+    for batch in permstat._philox_permutations(a_exp, B, seed):
+        for row in batch:
+            perm = np.random.Generator(np.random.Philox(key=seed + ((b + 1) << 64))).permutation(n_exp)
+            assert np.array_equal(row, a_exp[perm])
+            b += 1
+    assert b == B
+
+
+def test_node_results_do_not_depend_on_the_node_tested_before(rng):
+    # one node, a node of another expanded size, then the first node again
+    method = montecarlo(999, 5)
+    first = ([rng.normal(size=40), _node_design("onehot", 40, rng)], rng.normal(size=40), np.ones(40))
+    other = ([rng.normal(size=31)], rng.normal(size=31), np.full(31, 2.0))
+    before = permstat.test_statistic(*first, method)
+    permstat.test_statistic(*other, method)
+    assert permstat.test_statistic(*first, method) == before
+
+
+def test_montecarlo_fit_of_the_default_cohort_peaks_below_22_mb():
+    # the replicates need one buffer of 2,000,000 floats (16 MB), and a second
+    # array of that size (an index buffer, a gathered copy) would pass 22 MB
+    ds = survtree.simulate_cohort(survtree.SimConfig())
+    cfg = survtree.FitConfig(max_depth=1, test=montecarlo(9999, 0))
+    tracemalloc.start()
+    try:
+        survtree.fit(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20
