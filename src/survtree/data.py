@@ -188,6 +188,7 @@ class Schema:
 
 _EVENT_FLAGS = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0, "": np.nan}
 _BLOCK = 4096  # rows the CSV reader and writer handle at a time
+_CHUNK = 1 << 18  # characters of CSV text split at a time: about 2,700 rows of a simulated cohort
 
 
 class _Hashing(io.RawIOBase):
@@ -225,24 +226,56 @@ def _open_input(path: str):
     return open(path, "rb", buffering=0)
 
 
+def _blocks(fh):
+    """The rows of the CSV text `fh`, from where it stands, as csv.reader
+    reads them, a block at a time: either (lines, None), lines that
+    csv.reader reads as `line.split(",")` (a blank line as no row), or
+    (None, rows) of csv.reader. Text with no quote, no carriage return and no
+    line longer than the field size limit is split directly, a chunk of whole
+    lines at a time. From the first chunk that fails the test, csv.reader
+    reads the rest of the file, fed whole lines only (it ends a record at the
+    end of each string it is given): after a quote its state cannot be
+    resumed."""
+    limit = csv.field_size_limit()
+    text = ""
+    while chunk := fh.read(_CHUNK):
+        text += chunk
+        lines = text.split("\n")
+        if '"' in text or "\r" in text or max(map(len, lines)) > limit:
+            break
+        text = lines.pop()  # a line that may go on in the next chunk
+        yield lines, None
+    else:
+        yield [text], None
+        return
+    reader = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
+    while rows := list(itertools.islice(reader, _BLOCK)):
+        yield None, rows
+
+
 def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[list[str]], int]:
     """The cells of the named columns, in the order named, and the number of
     data rows, from an RFC-4180-style CSV in UTF-8 with or without a
-    byte-order mark. Blank lines are skipped and a short row reads as blank
-    cells. Header names are stripped of surrounding whitespace; a header that
-    names a column twice, or lacks a named column, is a DataError. A hashlib
-    `digest`, if given, is fed every byte of the file as it is read, so it
-    hashes what was parsed, from a pipe too."""
+    byte-order mark, read as csv.reader reads it (see `_blocks`). The header
+    is the first row, blank or not. Blank data lines are skipped and a short
+    row reads as blank cells. Header names are stripped of surrounding
+    whitespace; a header that names a column twice, or lacks a named column,
+    is a DataError. A hashlib `digest`, if given, is fed every byte of the
+    file as it is read, so it hashes what was parsed, from a pipe too."""
     try:
         raw = _open_input(path)
         if digest is not None:
             raw = _Hashing(raw, digest)
         with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
+            line = fh.readline()
+            if not line:
+                raise DataError(f"{path}: empty file")
+            if '"' in line or len(line) > csv.field_size_limit():
+                header = next(csv.reader(itertools.chain([line], fh)))
+            else:
+                line = line.rstrip("\r\n")  # its line end: readline stops at the first
+                header = line.split(",") if line else []
+            header = [h.strip() for h in header]
             position: dict[str, int] = {}  # each name's first column
             repeated = set()
             for i, h in enumerate(header):
@@ -257,17 +290,30 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
                     raise DataError(f"{path}: column {name!r} not in header {header}")
             index = [position[name] for name in names]
             width = max(index, default=-1) + 1
+            stride = len(header) + 1  # a line's cells and the "\n" cell that ends it
             columns: list[list[str]] = [[] for _ in names]
             n = 0
-            # a block of rows at a time, so that only the named cells are kept
-            while block := list(itertools.islice(reader, _BLOCK)):
-                block = [row for row in block if row]
-                n += len(block)
-                for row in block:
+            for lines, rows in _blocks(fh):
+                if lines is not None:
+                    if "" in lines:
+                        lines = [line for line in lines if line]
+                    cells = ",\n,".join(lines).split(",")  # a "\n" cell after each line's cells
+                    ends = cells[stride - 1 :: stride]
+                    if len(cells) == len(lines) * stride - 1 and ends.count("\n") == len(lines) - 1:
+                        # every line has the header's width: each column is one slice
+                        n += len(lines)
+                        for i, column in zip(index, columns):
+                            column.extend(cells[i::stride])
+                        continue
+                    rows = [line.split(",") for line in lines]
+                else:
+                    rows = [row for row in rows if row]
+                n += len(rows)
+                for row in rows:
                     if len(row) < width:
                         row.extend([""] * (width - len(row)))
                 for i, column in zip(index, columns):
-                    column.extend(map(operator.itemgetter(i), block))
+                    column.extend(map(operator.itemgetter(i), rows))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return columns, n
@@ -320,10 +366,11 @@ def usable(x, levels: tuple[str, ...] | None):
     return x >= 0 if levels is not None else x == x
 
 
-def _by_distinct(cells: list[str], f, dtype) -> np.ndarray:
-    """`f` of each cell, computed once per distinct string."""
-    index = {c: f(c) for c in set(cells)}
-    return np.array([index[c] for c in cells], dtype=dtype)
+def _by_distinct(cells: list[str], f, dtype, distinct=None) -> np.ndarray:
+    """`f` of each cell, computed once per distinct string (`distinct`, the
+    set of the cells, if already made)."""
+    index = {c: f(c) for c in (set(cells) if distinct is None else distinct)}
+    return np.fromiter(map(index.__getitem__, cells), dtype, len(cells))
 
 
 def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.ndarray:
@@ -336,8 +383,14 @@ def typed_column(cells: list[str], levels: tuple[str, ...] | None = None) -> np.
             return _by_distinct(cells, typed_value, float)
         x[~np.isfinite(x)] = np.nan
         return x
+    return _level_indices(cells, levels, set(cells))
+
+
+def _level_indices(cells: list[str], levels: tuple[str, ...], distinct: set[str]) -> np.ndarray:
+    """Each cell's index among `levels` once stripped, or -1, looked up once
+    per member of `distinct`, the set of the cells."""
     at = {level: i for i, level in enumerate(levels)}
-    return _by_distinct(cells, lambda c: at.get(c.strip(), -1), np.int64)
+    return _by_distinct(cells, lambda c: at.get(c.strip(), -1), np.int64, distinct)
 
 
 def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -368,20 +421,24 @@ def _typed_covariate(spec: ColumnSpec, cells: list[str]) -> tuple[np.ndarray, tu
     remain", not as bad levels."""
     if spec.kind == NUMERIC:
         return typed_column(cells), None
+    distinct = None
     if spec.kind == "auto":
         try:
             values = np.array(cells, dtype=float)  # as in typed_column
         except ValueError:
-            distinct = {c: typed_value(c) for c in set(cells)}
-            if all(x == x or not c.strip() for c, x in distinct.items()):
-                return np.array([distinct[c] for c in cells], dtype=float), None
+            distinct = set(cells)
+            typed = {c: typed_value(c) for c in distinct}
+            if all(x == x or not c.strip() for c, x in typed.items()):
+                return np.fromiter(map(typed.__getitem__, cells), float, len(cells)), None
         else:
             nan = ~np.isfinite(values)
             if not any(cells[i].strip() for i in np.flatnonzero(nan)):
                 values[nan] = np.nan
                 return values, None
-    levels = spec.levels or tuple(sorted({c.strip() for c in set(cells)} - {""}))
-    return typed_column(cells, levels), levels
+    if distinct is None:
+        distinct = set(cells)
+    levels = spec.levels or tuple(sorted({c.strip() for c in distinct} - {""}))
+    return _level_indices(cells, levels, distinct), levels
 
 
 def load_csv(path: str, schema: Schema, digest=None) -> tuple[Dataset, int]:

@@ -212,6 +212,49 @@ def test_tree_document_round_trip_bytes(tmp_path):
     assert doc["provenance"]["input_sha256"]
 
 
+def crlf_and_quoted_copies(tmp_path, data):
+    """Paths of two copies of the CSV at `data` that are read through
+    csv.reader: one with CRLF line ends, one whose last row starts with a
+    quoted cell."""
+    lf = Path(data).read_bytes()
+    head, last = lf.rstrip(b"\n").rsplit(b"\n", 1)
+    copies = {"crlf": lf.replace(b"\n", b"\r\n"), "quoted": head + b'\n"' + last.replace(b",", b'",', 1) + b"\n"}
+    for name, text in copies.items():
+        (tmp_path / f"{name}.csv").write_bytes(text)
+    return {name: str(tmp_path / f"{name}.csv") for name in copies}
+
+
+def test_fit_records_the_digest_of_the_bytes_of_any_line_end_or_quoting(tmp_path):
+    data = simulate(tmp_path, "cohort.csv", "--n", "3000")
+    docs = []
+    for name, path in {"lf": data, **crlf_and_quoted_copies(tmp_path, data)}.items():
+        doc = json.loads(Path(fit_tree(tmp_path, path, f"{name}.json")).read_text(encoding="utf-8"))
+        assert doc["provenance"].pop("input_sha256") == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        docs.append(doc)
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+
+
+def test_simulated_cohort_is_split_without_csv_reader(tmp_path, capsys, monkeypatch):
+    # simulate writes no quotes and no carriage returns, so fit, predict and km
+    # split its files directly; their outputs equal those on copies read
+    # through csv.reader
+    data = simulate(tmp_path, "cohort.csv", "--n", "3000")
+    assert os.path.getsize(data) > survtree.data._CHUNK
+    tree_path = fit_tree(tmp_path, data)
+    paths = crlf_and_quoted_copies(tmp_path, data)
+    commands = ("fit", "predict", "km")
+    want = {(c, k): command_outputs(tmp_path, capsys, c, tree_path, path, f"{c}-{k}") for c in commands for k, path in paths.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    for c in commands:
+        got = command_outputs(tmp_path, capsys, c, tree_path, data, f"{c}-split")
+        assert got[0] == 0
+        assert got == want[c, "crlf"] == want[c, "quoted"]
+
+
 def _fit_while_writing(tmp_path, path, write):
     """Run `fit --data path` while the thread `write` feeds `path`, a pipe or
     a FIFO: fit's exit code (None if it hung) and the digest it recorded."""

@@ -4,6 +4,7 @@ import os
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
+import survtree.data
 from conftest import csv_text
 from survtree import (
     CATEGORICAL,
@@ -668,3 +670,125 @@ def test_header_errors_and_positions_match_the_oracle(tmp_path, header, names):
     else:
         cells, _ = read_csv_columns(path, names)
         assert cells == [[rows[0][oracle_header.index(name)]] for name in names]
+
+
+def csv_reader_columns(path, names):
+    """What read_csv_columns returns, or the text of the DataError it raises,
+    with csv.reader reading the whole file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                return f"{path}: empty file"
+            repeated = sorted({h for h in header if h and header.count(h) > 1})
+            if repeated:
+                return f"{path}: header names {', '.join(map(repr, repeated))} more than once"
+            for name in names:
+                if name not in header:
+                    return f"{path}: column {name!r} not in header {header}"
+            rows = [row + [""] * len(header) for row in reader if row]
+    except csv.Error as exc:
+        return f"cannot read {path}: {exc}"
+    return [[row[header.index(name)] for row in rows] for name in names], len(rows)
+
+
+def split_reader_columns(path, names, chunk):
+    """read_csv_columns, splitting `chunk` characters at a time, or the text
+    of the DataError it raises."""
+    with mock.patch.object(survtree.data, "_CHUNK", chunk):
+        try:
+            return read_csv_columns(path, names)
+        except DataError as exc:
+            return str(exc)
+
+
+PLAIN = st.lists(st.sampled_from(["a", "1", " ", "\x00", "\ufeff", "\u00e9"] * 3 + ['"']), max_size=3).map("".join)
+QUOTED = st.lists(st.sampled_from(["a", ",", " ", "\n", "\r\n", "\r", '""']), max_size=4).map(lambda s: f'"{"".join(s)}"')
+LINE_END = st.sampled_from(["\n"] * 3 + ["\r\n", "\r"])
+
+
+@st.composite
+def mixed_csv_texts(draw):
+    """A header line (perhaps blank or quoted), quote-free lines, then lines
+    that mix quoted cells holding line breaks, CR and CRLF line ends, and
+    blank, whitespace-only, short and long rows; perhaps a byte-order mark,
+    perhaps no final line end."""
+    header = draw(st.lists(st.sampled_from(["time", "x", " g", "", '"x"', '"ti\nme"']), max_size=4))
+    lines = [(",".join(header), draw(LINE_END))]
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append((",".join(draw(st.lists(PLAIN, max_size=5))), "\n"))
+    for _ in range(draw(st.integers(0, 8))):
+        lines.append((",".join(draw(st.lists(st.one_of(PLAIN, QUOTED), max_size=5))), draw(LINE_END)))
+    if draw(st.booleans()):
+        lines[-1] = (lines[-1][0], "")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(line + end for line, end in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=mixed_csv_texts(),
+    names=st.lists(st.sampled_from(["time", "x", "g", ""]), unique=True, max_size=3),
+    chunk=st.integers(16, 64),
+    limit=st.sampled_from([None, 3, 8, 20]),
+)
+def test_split_reader_matches_csv_reader(text, names, chunk, limit):
+    old_limit = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)  # lines past it go to csv.reader, which raises on a field past it
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            assert split_reader_columns(path, names, chunk) == csv_reader_columns(path, names)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize("text", [
+    "time,x\n" + "1,a\n" * 9 + "2,b\r\n" * 9 + "3,c",  # CRLF from the tenth row, no final line end
+    "time,x\r\n" + "1,ab\r\n" * 20,
+    "time,x\r" + "1,ab\r" * 20,  # lone CR
+    "time,x\n" + "1,abc\n" * 12 + '2,"two\nlines"\n' + "3,c\n" * 9,  # a quoted line break after some chunks
+    '"time",x\n' + "1,abc\n" * 12 + '2,"a ""quote""\r\nand CRLF"\r\n' + "3,c\n" * 9,
+    "time,x\n" + "1,abc\n\n \n" * 8 + "4",  # blank and whitespace-only lines
+    "\ntime,x\n" + "1,a\n" * 12,  # a blank first line is the header
+])
+def test_split_reader_matches_csv_reader_at_every_chunk_size(tmp_path, text):
+    # every chunk boundary, the cut between the CR and LF of a CRLF included
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for names in (["x", "time"], []):
+        want = csv_reader_columns(str(path), names)
+        for chunk in range(16, 65):
+            assert split_reader_columns(str(path), names, chunk) == want
+
+
+def test_a_quoted_level_past_the_first_chunk_is_read_by_csv_reader(tmp_path, monkeypatch):
+    ds = simulate_cohort(SimConfig(n=3000, seed=4))
+    text = csv_text(ds)
+    header, first = text.split("\n")[:2]
+    row = first.split(",")
+    row[header.split(",").index("etiology")] = '"hepatitis, ""c"""'
+    path = write(tmp_path, text + ",".join(row) + "\n")
+    assert text.index("\n") + 1 + survtree.data._CHUNK < len(text)  # the quoted row is past the first chunk
+    specs = [(c.name, "auto", None) for c in ds.covariates]
+    schema = Schema("time", "event", tuple(ColumnSpec(*s) for s in specs))
+    time_, event, covariates, dropped = csv_oracle.load_csv(path, "time", "event", specs)
+    got, got_dropped = load_csv(path, schema)
+    assert got_dropped == dropped
+    assert bits(got.response.time) == bits(time_) and got.response.event.tolist() == event.tolist()
+    for cov, (name, kind, values, levels, ordered) in zip(got.covariates, covariates):
+        assert (cov.name, cov.kind, cov.levels) == (name, kind, levels)
+        assert bits(cov.values) == bits(values)
+    assert 'hepatitis, "c"' in got.covariate("etiology").levels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load_csv(path, schema)
