@@ -86,8 +86,9 @@ class Covariate:
                 raise DataError(f"covariate {self.name!r} has level index out of range")
         object.__setattr__(self, "values", _readonly(vals))
 
-    @property
+    @functools.cached_property
     def info(self) -> CovariateInfo:
+        """The metadata, checked once, when the covariate is made."""
         return CovariateInfo(self.name, self.kind, self.levels, self.ordered)
 
     @property
@@ -153,9 +154,10 @@ class ColumnSpec:
     """Role declaration for one covariate column.
 
     kind: "auto" infers numeric iff every non-missing cell parses as a finite
-    float, categorical otherwise; "numeric", "categorical" and "ordinal" force
-    the type. Levels default to the sorted set of distinct observed strings;
-    declared ones must pass `CovariateInfo` as a categorical's.
+    float, categorical otherwise, unless it declares levels, which make it
+    categorical; "numeric", "categorical" and "ordinal" force the type.
+    Levels default to the sorted set of distinct observed strings; declared
+    ones must pass `CovariateInfo` as a categorical's.
     """
 
     name: str
@@ -208,6 +210,19 @@ class _Hashing(io.RawIOBase):
     def close(self) -> None:
         self._fh.close()
         super().close()
+
+
+class _Counted(io.BufferedReader):
+    """A buffered binary file that counts the bytes `read1` has handed out
+    (all that `io.TextIOWrapper` reads, but for a `read()` of everything), so
+    that a decoding error can name its byte's offset in the file."""
+
+    handed = 0
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.handed += len(data)
+        return data
 
 
 def _open_input(path: str):
@@ -266,7 +281,8 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
         raw = _open_input(path)
         if digest is not None:
             raw = _Hashing(raw, digest)
-        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as fh:
+        counted = _Counted(raw)
+        with io.TextIOWrapper(counted, encoding="utf-8-sig", newline="") as fh:
             line = fh.readline()
             if not line:
                 raise DataError(f"{path}: empty file")
@@ -314,7 +330,14 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
                         row.extend([""] * (width - len(row)))
                 for i, column in zip(index, columns):
                     column.extend(map(operator.itemgetter(i), rows))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        # the decoder failed on its input, which ends at the last byte handed out
+        offset = counted.handed - len(exc.object) + exc.start
+        raise DataError(
+            f"cannot read {path}: {exc.encoding!r} codec can't decode byte 0x{exc.object[exc.start]:02x} "
+            f"at byte offset {offset} of the file: {exc.reason}"
+        ) from exc
+    except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return columns, n
 
@@ -418,11 +441,12 @@ def _typed_covariate(spec: ColumnSpec, cells: list[str]) -> tuple[np.ndarray, tu
     numeric iff every cell typed NaN is blank, which is decided, like the
     levels and indices, once per distinct cell. Observed levels are validated
     after dropping: an all-missing column should surface as "zero rows
-    remain", not as bad levels."""
+    remain", not as bad levels. An `auto` column that declares levels is
+    categorical."""
     if spec.kind == NUMERIC:
         return typed_column(cells), None
     distinct = None
-    if spec.kind == "auto":
+    if spec.kind == "auto" and spec.levels is None:
         try:
             values = np.array(cells, dtype=float)  # as in typed_column
         except ValueError:

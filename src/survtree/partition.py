@@ -25,6 +25,7 @@ why it stopped: "alpha", "minsplit", "minbucket" or "max_depth".
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -114,6 +115,45 @@ class Tree:
                 return ci
         raise DataError(f"tree uses unknown covariate {name!r}")
 
+    @functools.cached_property
+    def routes(self) -> dict[int, tuple]:
+        """What `predict_node` needs at each internal node, by id: the split
+        covariate, its cut-off (None for a categorical), the child each of a
+        categorical's levels goes to (None for a numeric), and the left and
+        right children. Built once per tree."""
+        routes = {}
+        for node in self.nodes.values():
+            if not node.is_leaf:
+                rule, (left, right) = node.split, node.children
+                levels = self.info(rule.covariate).levels
+                child_of = None if levels is None else {
+                    level: left if rule.holds(i, levels) else right for i, level in enumerate(levels)
+                }
+                routes[node.id] = (rule.covariate, rule.cutoff, child_of, left, right)
+        return routes
+
+
+def stable_argsort(x: np.ndarray) -> np.ndarray:
+    """`np.argsort(x, kind="stable")`, bit for bit, from numpy's default
+    sort: each run of equal values (NaNs, which sort last, count as equal)
+    is put back in row order by sorting the keys run * n + row, which are
+    distinct int64s. Without ties the default order is the stable one."""
+    order = np.argsort(x)
+    n = order.size
+    xs = x[order]
+    tied = xs[1:] == xs[:-1]
+    if n and xs[-1] != xs[-1]:  # NaN != NaN: the run of NaNs at the end is one run
+        tied[np.argmax(xs != xs):] = True
+    if not tied.any():
+        return order
+    run = np.zeros(n, dtype=np.int64)  # each sorted value's run of equal values, times n
+    np.cumsum(~tied, out=run[1:])
+    run *= n
+    key = run + order
+    key.sort()  # a run keeps its place, its rows come in row order
+    key -= run
+    return key
+
 
 def weighted_midranks(x: np.ndarray, w: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """Midranks of x over the weight-expanded multiset: for observation i,
@@ -122,15 +162,19 @@ def weighted_midranks(x: np.ndarray, w: np.ndarray, order: np.ndarray | None = N
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     if order is None:
-        order = np.argsort(x, kind="stable")
-    xs, ws = x[order], w[order]
-    tie_starts, block = tie_blocks(xs)
-    bounds = np.append(np.flatnonzero(tie_starts), xs.size)
-    cum = np.concatenate(([0.0], np.cumsum(ws)))
+        order = stable_argsort(x)
+    n = x.size
+    xs = x[order]
+    run_start = np.empty(n + 1, dtype=bool)  # where each run of equal values starts, and the end
+    run_start[0] = run_start[n] = True
+    np.not_equal(xs[1:], xs[:-1], out=run_start[1:n])
+    bounds = run_start.nonzero()[0]
+    cum = np.zeros(n + 1)  # weight below each sorted position
+    w[order].cumsum(out=cum[1:])
     w_below = cum[bounds[:-1]]
     w_at = cum[bounds[1:]] - w_below
     out = np.empty_like(x)
-    out[order] = (w_below + (w_at + 1.0) / 2.0)[block]
+    out[order] = (w_below + (w_at + 1.0) / 2.0).repeat(bounds[1:] - bounds[:-1])
     return out
 
 
@@ -189,7 +233,7 @@ def best_split(
     numeric = cov.kind == NUMERIC or cov.ordered
     if numeric:
         x = np.asarray(cov.values, dtype=float)
-        cutoffs, w_left, T = _cutoff_scan(x, w, scores, np.argsort(x, kind="stable") if order is None else order)
+        cutoffs, w_left, T = _cutoff_scan(x, w, scores, stable_argsort(x) if order is None else order)
         if cutoffs.size == 0:
             return None
     else:
@@ -271,7 +315,7 @@ def fit(ds: Dataset, cfg: FitConfig, weights: np.ndarray | None = None) -> Tree:
     # cut-off scans sum in sorted order, so their orders are stable; the risk
     # table sums in row order, so any order of the times will do.
     root_orders = [np.argsort(ds.response.time[root_rows])] + [
-        None if s.ndim == 2 else np.argsort(s[root_rows], kind="stable") for s in sources
+        None if s.ndim == 2 else stable_argsort(s[root_rows]) for s in sources
     ]
     queue = deque([(1, root_rows, w0[root_rows], root_orders, 0)])
 
@@ -339,16 +383,19 @@ def predict_node(tree: Tree, observation: dict) -> int:
     the leaf `route` gives the same row, each value typed as a CSV cell (a
     missing name reads as a blank cell). DataError "no usable value for
     split covariate 'c': <value>" where `route` would stop."""
-    node = tree.root
-    while not node.is_leaf:
-        rule = node.split
-        levels = tree.info(rule.covariate).levels
-        value = observation.get(rule.covariate, "")
-        x = typed_value(value, levels)
-        if not usable(x, levels):
-            raise DataError(f"no usable value for split covariate {rule.covariate!r}: {value!r}")
-        node = tree.nodes[node.children[0] if rule.holds(x, levels) else node.children[1]]
-    return node.id
+    nid, routes = 1, tree.routes
+    while nid in routes:
+        name, cutoff, child_of, left, right = routes[nid]
+        value = observation.get(name, "")
+        if child_of is None:
+            x = typed_value(value)
+            child = (left if x <= cutoff else right) if usable(x, None) else None
+        else:
+            child = child_of.get(str(value).strip())  # typed_value's level lookup
+        if child is None:
+            raise DataError(f"no usable value for split covariate {name!r}: {value!r}")
+        nid = child
+    return nid
 
 
 def route(tree: Tree, columns: dict[str, np.ndarray], n: int) -> np.ndarray:

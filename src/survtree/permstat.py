@@ -101,8 +101,8 @@ def _as_design(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim == 1:
         g = g.reshape(-1, 1)
-    if g.ndim != 2:
-        raise DataError("design must be an n x p matrix")
+    if g.ndim != 2 or g.shape[1] == 0:
+        raise DataError("design must be an n x p matrix with p >= 1")
     return g
 
 
@@ -117,35 +117,40 @@ def dot_by_blocks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
-def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> list[tuple]:
-    """(T, mu, var) for each n x p design: the observed statistic and its
-    conditional moments, p-vectors (var holds the variances sigma_kk). The
-    float arrays a and w are checked once (every design's n, weights finite
-    and non-negative, w. >= 2: the permutation variance has a w.-1
-    denominator) and their moments taken once; each design adds only its own
-    sums."""
+def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> tuple:
+    """(T, mu, var): the observed statistic and its conditional moments
+    (var holds the variances sigma_kk) over the coordinates of every n x p
+    design, concatenated in design order. The float arrays a and w are
+    checked once (every design's n, weights finite and non-negative, w. >= 2:
+    the permutation variance has a w.-1 denominator) and their moments taken
+    once; each design adds only its own sums, and the variances of all the
+    designs' coordinates are taken in one step."""
     if a.ndim != 1 or w.shape != a.shape or any(g.shape[0] != a.shape[0] for g in designs):
         raise DataError("design, scores and weights disagree in length")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    if not np.isfinite(w).all() or (w < 0).any():
         raise DataError("case weights must be finite and non-negative")
-    wsum = w.sum()
+    wsum = np.add.reduce(w)
     if wsum < 2:
         raise DataError(f"total case weight {wsum} < 2: nothing to test")
     e_hat = float(dot_by_blocks(w, a)) / wsum
     centered = a - e_hat
     v_hat = float(dot_by_blocks(w, centered * centered)) / wsum
+    if not designs:
+        return np.empty(0), np.empty(0), np.empty(0)
 
-    stats = []
+    T, g_sum, gram_diag = [], [], []
+    w_col = w[:, None]
     for g in designs:
-        wg = g * w[:, None]            # n x p
-        g_sum = wg.sum(axis=0)         # p
+        wg = g * w_col                 # n x p
+        g_sum.append(np.add.reduce(wg, axis=0))  # p: wg.sum(axis=0), without its Python wrapper
         # exactly this product and grouping: up to DOT_BLOCK rows they match the
         # diagonal of the full covariance (tests/mc_oracle.py) bit for bit, and
         # row sums of wg * g do not
-        gram_diag = np.diagonal(dot_by_blocks(wg, g))  # sum_i w_i g_ik^2
-        var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
-        stats.append((dot_by_blocks(wg, a), e_hat * g_sum, var))
-    return stats
+        gram_diag.append(dot_by_blocks(wg, g).diagonal())  # sum_i w_i g_ik^2
+        T.append(dot_by_blocks(wg, a))
+    g_sum, gram_diag = np.concatenate(g_sum), np.concatenate(gram_diag)
+    var = (wsum / (wsum - 1.0)) * v_hat * gram_diag - (1.0 / (wsum - 1.0)) * v_hat * (g_sum * g_sum)
+    return np.concatenate(T), e_hat * g_sum, var
 
 
 def _tail_poly(x: float) -> float:
@@ -264,19 +269,27 @@ def test_statistic(
     designs = [_as_design(g) for g in designs]
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    kept, c_max, dof = [], [], []  # per design, over its non-degenerate coordinates
-    for T, mu, var in _linear_statistics(designs, a, w):
-        keep = var > VAR_TOL
-        mu, sd = mu[keep], np.sqrt(var[keep])
-        kept.append((keep, mu, sd))
-        c_max.append(float((np.abs(T[keep] - mu) / sd).max(initial=0.0)))
-        dof.append(int(np.sum(keep)))
+    T, mu, var = _linear_statistics(designs, a, w)
+    if not designs:
+        return []
+    # each design's coordinates start at `starts`; every design has at least one
+    starts = list(itertools.accumulate((g.shape[1] for g in designs[:-1]), initial=0))
+    keep = var > VAR_TOL
+    sd = np.sqrt(var, where=keep, out=np.ones_like(var))
+    z = np.abs(T - mu) / sd
+    z[~keep] = 0.0  # c_max is the largest z over the kept coordinates, or 0.0
+    c_max = np.maximum.reduceat(z, starts).tolist()
+    dof = np.add.reduceat(keep, starts, dtype=np.int64).tolist()
     if method.name == "asymptotic":
         p_raw = [pvalue_asymptotic(c, k) for c, k in zip(c_max, dof)]
         return list(zip(c_max, p_raw, dof))
 
     if not np.all(w == np.rint(w)):
         raise DataError("resampling requires integer case weights")
+    kept = []  # per design, (keep, mu, sd) over its non-degenerate coordinates
+    for start, stop in zip(starts, starts[1:] + [len(var)]):
+        k = keep[start:stop]
+        kept.append((k, mu[start:stop][k], sd[start:stop][k]))
     slots = np.repeat(np.arange(w.shape[0]), w.astype(np.int64))  # weight-expanded
     a_exp = a[slots]
     n_exp = slots.shape[0]
@@ -295,6 +308,6 @@ def test_statistic(
 def adjust_pvalues(p_raw: np.ndarray) -> np.ndarray:
     """Bonferroni over the m covariates: p_adj_j = min(1, m * p_raw_j)."""
     p = np.asarray(p_raw, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if (p < 0).any() or (p > 1).any():
         raise DataError("raw p-values must lie in [0, 1]")
     return np.minimum(1.0, p.shape[0] * p)

@@ -182,6 +182,51 @@ def test_unreadable_text_is_data_error(tmp_path, body, message):
         load_csv(str(path), Schema("time", "event", (ColumnSpec("meld"),)))
 
 
+def _cohort_bytes_with_a_bad_byte(offset, size=None):
+    """A simulated cohort's CSV bytes, cut to `size`, with byte `offset` 0xff."""
+    out = io.StringIO()
+    dataset_to_csv(simulate_cohort(SimConfig(n=2_000, seed=3)), out)
+    raw = out.getvalue().encode("utf-8")[:size]
+    return raw[:offset] + b"\xff" + raw[offset + 1:]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("offset", [0, 17, 50_007, 90_000])
+def test_utf8_error_names_the_bytes_offset_in_the_file(tmp_path, bom, offset):
+    # the decoder sees the file in chunks; the error counts from the file's first byte
+    raw = bom + _cohort_bytes_with_a_bad_byte(offset)
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError) as raised:
+        read_csv_columns(str(path), ["time"])
+    assert raised.value.args[0] == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff at byte offset {len(bom) + offset} of the file: "
+        "invalid start byte"
+    )
+
+
+def test_utf8_error_from_a_truncated_character_names_its_offset(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"time,event\n1,1\n2,0\xc3")
+    with pytest.raises(DataError, match="can't decode byte 0xc3 at byte offset 18 of the file: unexpected end of data"):
+        read_csv_columns(str(path), ["time"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_utf8_error_from_a_pipe_names_the_bytes_offset():
+    raw = _cohort_bytes_with_a_bad_byte(50_007, size=60_000)  # within a pipe's buffer
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, raw), os.close(write_end)), daemon=True)
+    writer.start()
+    try:
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(DataError, match=r"can't decode byte 0xff at byte offset 50007 of the file:"):
+            read_csv_columns(path, ["time"])
+    finally:
+        writer.join(timeout=10)
+        os.close(read_end)
+
+
 def test_missing_schema_column(tmp_path):
     path = write(tmp_path, "time,event,meld\n10,1,12.5\n")
     with pytest.raises(DataError, match="'sex'"):
@@ -206,6 +251,16 @@ def test_auto_levels_are_sorted(tmp_path):
     path = write(tmp_path, "time,event,meld,sex\n10,1,1,zeta\n20,0,2,alpha\n5,1,3,mid\n")
     ds, _ = load_csv(path, SCHEMA)
     assert ds.covariate("sex").levels == ("alpha", "mid", "zeta")
+
+
+def test_auto_column_that_declares_levels_loads_them(tmp_path):
+    # every cell parses as a number, yet the declared levels make it categorical
+    path = write(tmp_path, "time,event,g\n10,1,1\n20,0,2\n30,1,1\n40,0,3\n")
+    ds, dropped = load_csv(path, Schema("time", "event", (ColumnSpec("g", "auto", ("1", "2")),)))
+    g = ds.covariate("g")
+    assert (g.kind, g.levels, g.values.tolist(), dropped) == (CATEGORICAL, ("1", "2"), [0, 1, 0], 1)
+    ds, _ = load_csv(path, Schema("time", "event", (ColumnSpec("g"),)))
+    assert (ds.covariate("g").kind, ds.covariate("g").levels) == (NUMERIC, None)
 
 
 def test_declared_levels_respected_and_unknown_dropped(tmp_path):
@@ -544,6 +599,40 @@ def test_route_matches_per_row_oracle(text, x_cut, g_subset, o_cut):
             with pytest.raises(DataError) as raised:
                 predict_node(tree, observation)
             assert str(raised.value) == f"no usable value for split covariate {covariate!r}: {cell!r}"
+
+
+# values as a caller may pass them: numbers, blank, padded, unknown-level and
+# unparseable text, non-finite floats and None
+ROUTED_VALUES = st.one_of(
+    st.floats(),
+    st.integers(-3, 3),
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "abc", " 0.5 ", "2", "-1", None,
+                     "a", " b", "c ", "A", "lo", "mid ", " hi", "x"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.dictionaries(st.sampled_from(["x", "g", "o"]), ROUTED_VALUES), min_size=1, max_size=12),
+    x_cut=st.sampled_from([-3.0, 1.0, 2.5, 1000.0]),
+    g_subset=st.sampled_from([("a",), ("a", "c")]),
+    o_cut=st.sampled_from([0.0, 1.0]),
+)
+def test_predict_node_matches_route_on_each_value(rows, x_cut, g_subset, o_cut):
+    # a missing name reads as a blank cell; every value is typed as typed_value types it
+    tree = hand_tree(x_cut, g_subset, o_cut)
+    columns = {
+        name: np.array([typed_value(row.get(name, ""), tree.info(name).levels) for row in rows])
+        for name in ("x", "g", "o")
+    }
+    for row, node in zip(rows, route(tree, columns, len(rows)).tolist()):
+        if tree.nodes[node].is_leaf:
+            assert predict_node(tree, row) == node
+        else:
+            covariate = tree.nodes[node].split.covariate
+            with pytest.raises(DataError) as raised:
+                predict_node(tree, row)
+            assert str(raised.value) == f"no usable value for split covariate {covariate!r}: {row.get(covariate, '')!r}"
 
 
 def test_predict_node_types_values_as_cells():

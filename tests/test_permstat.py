@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from brute_oracle import TIE_RTOL, brute_force_cmax, brute_force_pvalue
 from mc_oracle import montecarlo_test
+from node_oracle import _asymptotic_test
 from survtree import DataError, FitError, TestMethod, adjust_pvalues, logrank_scores, pvalue_asymptotic
 import survtree
 from survtree import permstat
@@ -22,7 +23,7 @@ EXACT = TestMethod("exact")
 def moments(g, a, w):
     """(T, mu, var) of one design (an n-vector or n x p matrix)."""
     a = np.asarray(a, dtype=float)
-    return _linear_statistics([np.asarray(g, dtype=float).reshape(a.shape[0], -1)], a, np.asarray(w, dtype=float))[0]
+    return _linear_statistics([np.asarray(g, dtype=float).reshape(a.shape[0], -1)], a, np.asarray(w, dtype=float))
 
 
 def node_test(g, a, w, method=TestMethod()):
@@ -547,3 +548,72 @@ def test_montecarlo_fit_of_the_default_cohort_peaks_below_22_mb():
     finally:
         tracemalloc.stop()
     assert peak < 22 * 2**20
+
+
+def _wide_design(kind, n, p, rng):
+    """An n x p design: dense normal columns, a one-hot over p levels (absent
+    levels make degenerate columns, and p = 1 a constant one), or constant
+    columns."""
+    if kind == "dense":
+        return np.round(rng.normal(size=(n, p)), 1)
+    if kind == "onehot":
+        g = np.zeros((n, p))
+        g[np.arange(n), rng.integers(0, p, n)] = 1.0
+        return g
+    return np.full((n, p), 2.5)
+
+
+WIDE_DESIGNS = st.lists(
+    st.tuples(st.sampled_from(["dense", "onehot", "constant"]), st.integers(1, 10)), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=WIDE_DESIGNS,
+    weights=st.one_of(
+        st.lists(st.integers(0, 3).map(float), min_size=2, max_size=40),
+        st.lists(st.floats(0.0, 3.0), min_size=2, max_size=40),
+    ).filter(lambda w: sum(w) >= 2),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_node_test_matches_the_per_design_reference(shapes, weights, data_seed):
+    # all designs' coordinates are standardized in one pass; each design's
+    # (c_max, p, dof) is the one its own moments give (node_oracle)
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    designs = [_wide_design(kind, n, p, rng) for kind, p in shapes]
+    a = np.round(rng.normal(size=n), 1)
+    w = np.array(weights)
+    assert permstat.test_statistic(designs, a, w) == [_asymptotic_test(g, a, w) for g in designs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=WIDE_DESIGNS,
+    weights=st.lists(st.integers(0, 2), min_size=2, max_size=6).filter(lambda w: 2 <= sum(w) <= 6),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    B=st.integers(1, 99),
+)
+def test_resampled_node_test_matches_the_per_design_references(shapes, weights, data_seed, seed, B):
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    designs = [_wide_design(kind, n, p, rng) for kind, p in shapes]
+    a = np.round(rng.normal(size=n), 1)
+    w = np.array(weights, dtype=float)
+    node_mc = permstat.test_statistic(designs, a, w, montecarlo(B, seed))
+    node_exact = permstat.test_statistic(designs, a, w, EXACT)
+    for g, mc, exact in zip(designs, node_mc, node_exact):
+        c_max, _, dof = _asymptotic_test(g, a, w)
+        assert mc == (*montecarlo_test(g, a, w, B, seed), dof)
+        assert exact == (c_max, brute_force_pvalue(g.tolist(), list(a), weights), dof)
+
+
+def test_node_test_of_no_designs_is_empty_and_of_an_empty_design_refused():
+    a, w = np.array([1.0, -1.0, 0.5]), np.ones(3)
+    assert permstat.test_statistic([], a, w) == []
+    with pytest.raises(DataError, match="finite"):
+        permstat.test_statistic([], a, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(DataError, match="p >= 1"):
+        permstat.test_statistic([np.ones(3), np.empty((3, 0))], a, w)

@@ -11,7 +11,10 @@ writer that claims the same bytes is checked too. So is `fit` on the
 25,000-row cohort: deep nodes with many tied times and covariate values,
 which the 529-row pins do not reach; that fit is also run in fresh processes
 under one and under two BLAS threads, since its nodes hold more rows than
-one BLAS call sums in a fixed order. The digests follow from numpy's
+one BLAS call sums in a fixed order. Forty paper-sized library fits,
+planted and null cohorts in turn, are pinned by one digest over their
+`tree.json` bytes and every node's selection tests, so a per-node shortcut
+that moves one p-value's last bit fails here. The digests follow from numpy's
 floating-point reductions; a numpy build that sums differently may move
 them, and then every pin here moves together.
 """
@@ -24,7 +27,9 @@ import sys
 import pytest
 
 import survtree
+from survtree import FitConfig, SimConfig
 from survtree.cli import main
+from survtree.treedoc import dumps_canonical, tree_to_document
 
 COVARIATES = "sex,age,blood_type,bmi,etiology,hcc,meld"
 
@@ -68,6 +73,10 @@ FIT_25K_PINNED = {
     "fit.stdout": "e2a4ecb6398c1aef111e4c70b5f5b69e5bdb087db291fbaa26d8d2a573b3e116",
     "tree.json": "370c8c3b7a7366502bcfe684df221bad1c04f7f27e04b2ad4dd3d473e36a6952",
 }
+
+
+# 40 n = 529 cohorts, seeds 1-40, hazard ratio 3 at odd seeds and 1 at even ones
+STUDY_PINNED = "144c4d345c3f5ff56a4d8e5139adbb0c7ec469713f460474efaad9a19a42d476"
 
 
 def _sha256(data: bytes) -> str:
@@ -131,3 +140,14 @@ def test_fit_on_the_25k_cohort_is_pinned_at_any_blas_thread_count(tmp_path, caps
     )
     assert proc.returncode == 0, proc.stderr
     assert {"fit.stdout": _sha256(proc.stdout), "tree.json": _sha256(tree.read_bytes())} == FIT_25K_PINNED
+
+
+def test_study_fits_are_pinned():
+    digest = hashlib.sha256()
+    for i in range(40):
+        cohort = survtree.simulate_cohort(SimConfig(seed=i + 1, hazard_ratio=3.0 if i % 2 == 0 else 1.0))
+        tree = survtree.fit(cohort, FitConfig())
+        digest.update((dumps_canonical(tree_to_document(tree, "time", "event")) + "\n").encode("utf-8"))
+        for nid in sorted(tree.nodes):
+            digest.update(repr(tree.nodes[nid].tests).encode("utf-8"))
+    assert digest.hexdigest() == STUDY_PINNED

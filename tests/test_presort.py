@@ -3,7 +3,8 @@ splits each node's orders into its children. These tests hold the presorted
 midranks, cut-off scan, risk table and scores bit-equal to the per-node
 sorts they replaced (`presort_oracle`), on heavily tied values, positive
 weights and times that mix -0.0 and 0.0, for a node's own sort and for
-orders split from a parent's.
+orders split from a parent's. The root's stable orders come from
+`stable_argsort`, held equal to numpy's stable sort.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import presort_oracle as oracle
 from survtree import NUMERIC, Covariate, FitConfig, best_split
 from survtree.influence import event_table, risk_table, table_scores
-from survtree.partition import _cutoff_scan, _split_orders, weighted_midranks
+from survtree.partition import _cutoff_scan, _split_orders, stable_argsort, weighted_midranks
 
 TIED_VALUES = [-0.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 3.0, 1e300]
 TIMES = [-0.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0]
@@ -115,3 +116,20 @@ def test_tie_of_signed_zeros_keeps_np_unique_representative():
         assert same_bits(risk_table(time, event, w, np.argsort(time, kind="stable"))[0], want)
     assert differs  # the case the representative is kept for does occur
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TIED_VALUES + [np.nan, np.inf, -np.inf]), st.floats()), max_size=80))
+@example([])
+@example([1.0])
+@example([0.0, -0.0, 0.0, -0.0, -0.0])
+@example([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0])
+def test_stable_argsort_is_numpys_stable_sort(values):
+    x = np.array(values, dtype=float)
+    assert same_bits(stable_argsort(x), np.argsort(x, kind="stable"))
+
+
+def test_stable_argsort_is_numpys_stable_sort_on_a_large_cohort():
+    rng = np.random.Generator(np.random.Philox(key=24))
+    for x in (rng.normal(size=25_000), np.round(rng.normal(size=25_000), 1), rng.integers(0, 4, 25_000) - 0.0):
+        assert same_bits(stable_argsort(x), np.argsort(x, kind="stable"))
