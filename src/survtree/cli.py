@@ -166,18 +166,19 @@ def _read_and_route(tree: Tree, path: str, response: tuple[str, ...] = ()):
     """Read the `response` columns and the covariates the tree splits on
     (declared order) from the CSV at `path`, and route every row: the cells
     by column name, each row's deepest node, whether it reached a leaf, and
-    the row count."""
+    the line each row starts on (`read_csv_columns`)."""
     used = {node.split.covariate for node in tree.nodes.values() if not node.is_leaf}
     names = [c.name for c in tree.covariate_info if c.name in used]
-    cells, n = read_csv_columns(path, [*response, *names])
+    cells, starts = read_csv_columns(path, [*response, *names])
     column = dict(zip([*response, *names], cells))
-    node_of = route(tree, {name: typed_column(column[name], tree.info(name).levels) for name in names}, n)
-    return column, node_of, np.isin(node_of, [leaf.id for leaf in tree.leaves()]), n
+    node_of = route(tree, {name: typed_column(column[name], tree.info(name).levels) for name in names}, len(starts))
+    return column, node_of, np.isin(node_of, [leaf.id for leaf in tree.leaves()]), starts
 
 
 def _cmd_predict(args) -> int:
     tree, _ = load_tree(args.tree)
-    column, node_of, reached, n = _read_and_route(tree, args.data)
+    column, node_of, reached, starts = _read_and_route(tree, args.data)
+    n = len(starts)
     if not n:
         raise DataError(f"{args.data}: no data rows")
     stuck = np.flatnonzero(~reached).tolist()
@@ -203,12 +204,12 @@ _LEAF_FILE = re.compile(r"leaf_\d+\.csv")
 
 def _cmd_km(args) -> int:
     tree, response = load_tree(args.tree)
-    column, node_of, reached, n = _read_and_route(tree, args.data, response)
-    time, event = typed_response(args.data, *(column[name] for name in response))
+    column, node_of, reached, starts = _read_and_route(tree, args.data, response)
+    time, event = typed_response(args.data, starts, *(column[name] for name in response))
     keep = reached & np.isfinite(time) & np.isfinite(event)
     if not keep.any():
         raise DataError(f"{args.data}: zero rows remain after dropping incomplete records")
-    dropped = n - int(keep.sum())
+    dropped = len(starts) - int(keep.sum())
     if dropped:
         print(f"dropped {dropped} incomplete rows", file=sys.stderr)
 

@@ -193,35 +193,24 @@ _BLOCK = 4096  # rows the CSV reader and writer handle at a time
 _CHUNK = 1 << 18  # characters of CSV text split at a time: about 2,700 rows of a simulated cohort
 
 
-class _Hashing(io.RawIOBase):
-    """A binary file read through, each byte also fed to `digest`."""
-
-    def __init__(self, fh, digest):
-        self._fh, self._digest = fh, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._fh.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._fh.close()
-        super().close()
-
-
 class _Counted(io.BufferedReader):
     """A buffered binary file that counts the bytes `read1` has handed out
     (all that `io.TextIOWrapper` reads, but for a `read()` of everything), so
-    that a decoding error can name its byte's offset in the file."""
+    that a decoding error can name its byte's offset in the file, and feeds
+    the same bytes to a hashlib `digest`, if given, so that it hashes what
+    was parsed, from a pipe too."""
 
     handed = 0
+
+    def __init__(self, raw, digest=None):
+        super().__init__(raw)
+        self._digest = digest
 
     def read1(self, size=-1):
         data = super().read1(size)
         self.handed += len(data)
+        if self._digest is not None:
+            self._digest.update(data)
         return data
 
 
@@ -241,16 +230,29 @@ def _open_input(path: str):
     return open(path, "rb", buffering=0)
 
 
-def _blocks(fh):
-    """The rows of the CSV text `fh`, from where it stands, as csv.reader
-    reads them, a block at a time: either (lines, None), lines that
-    csv.reader reads as `line.split(",")` (a blank line as no row), or
-    (None, rows) of csv.reader. Text with no quote, no carriage return and no
-    line longer than the field size limit is split directly, a chunk of whole
-    lines at a time. From the first chunk that fails the test, csv.reader
-    reads the rest of the file, fed whole lines only (it ends a record at the
-    end of each string it is given): after a quote its state cannot be
-    resumed."""
+def _nonblank(lines: list[str], line: int):
+    """A block of quote-free `lines`, the first on line `line` of the file, as
+    `_blocks` yields it: (starts, lines, None), blank lines dropped, with the
+    line each kept one starts on."""
+    if "" in lines:
+        return list(itertools.compress(itertools.count(line), lines)), [text for text in lines if text], None
+    return range(line, line + len(lines)), lines, None
+
+
+def _blocks(fh, line: int):
+    """The rows of the CSV text `fh`, from where it stands, on line `line` of
+    the file, as csv.reader reads them, a block at a time, blank lines
+    dropped, with the line of the file each row starts on: either (starts,
+    lines, None), lines that csv.reader reads as `line.split(",")`, or
+    (starts, None, rows) of csv.reader. Text with no quote, no carriage
+    return and no line longer than the field size limit is split directly, a
+    chunk of whole lines at a time; its rows start on the chunk's first line
+    plus their positions in it. From the first chunk that fails the test,
+    csv.reader reads the rest of the file, fed whole lines only (it ends a
+    record at the end of each string it is given): after a quote its state
+    cannot be resumed. A row it reads starts on the line after the lines it
+    had read (`line_num`, counted from the chunk's first line), as a quoted
+    cell may hold line breaks."""
     limit = csv.field_size_limit()
     text = ""
     while chunk := fh.read(_CHUNK):
@@ -259,38 +261,50 @@ def _blocks(fh):
         if '"' in text or "\r" in text or max(map(len, lines)) > limit:
             break
         text = lines.pop()  # a line that may go on in the next chunk
-        yield lines, None
+        yield _nonblank(lines, line)
+        line += len(lines)
     else:
-        yield [text], None
+        yield _nonblank([text], line)
         return
     reader = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
-    while rows := list(itertools.islice(reader, _BLOCK)):
-        yield None, rows
+    starts, rows = [], []
+    start = line
+    for row in reader:
+        if row:
+            starts.append(start)
+            rows.append(row)
+            if len(rows) == _BLOCK:
+                yield starts, None, rows
+                starts, rows = [], []
+        start = line + reader.line_num
+    yield starts, None, rows
 
 
-def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[list[str]], int]:
-    """The cells of the named columns, in the order named, and the number of
-    data rows, from an RFC-4180-style CSV in UTF-8 with or without a
-    byte-order mark, read as csv.reader reads it (see `_blocks`). The header
-    is the first row, blank or not. Blank data lines are skipped and a short
-    row reads as blank cells. Header names are stripped of surrounding
-    whitespace; a header that names a column twice, or lacks a named column,
-    is a DataError. A hashlib `digest`, if given, is fed every byte of the
-    file as it is read, so it hashes what was parsed, from a pipe too."""
+def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[list[str]], list[int]]:
+    """The cells of the named columns, in the order named, and the line of
+    the file each data row starts on (counted from 1, as csv.reader's
+    `line_num` counts them; their number is the row count), from an
+    RFC-4180-style CSV in UTF-8 with or without a byte-order mark, read once,
+    as csv.reader reads it (see `_blocks`), from a file, pipe or FIFO alike.
+    The header is the first row, blank or not. Blank data lines are skipped
+    and a short row reads as blank cells. Header names are stripped of
+    surrounding whitespace; a header that names a column twice, or lacks a
+    named column, is a DataError. A hashlib `digest`, if given, is fed every
+    byte of the file as it is read (`_Counted`)."""
     try:
-        raw = _open_input(path)
-        if digest is not None:
-            raw = _Hashing(raw, digest)
-        counted = _Counted(raw)
+        counted = _Counted(_open_input(path), digest)
         with io.TextIOWrapper(counted, encoding="utf-8-sig", newline="") as fh:
             line = fh.readline()
             if not line:
                 raise DataError(f"{path}: empty file")
             if '"' in line or len(line) > csv.field_size_limit():
-                header = next(csv.reader(itertools.chain([line], fh)))
+                reader = csv.reader(itertools.chain([line], fh))
+                header = next(reader)
+                first = reader.line_num + 1  # a quoted name may hold line breaks
             else:
                 line = line.rstrip("\r\n")  # its line end: readline stops at the first
                 header = line.split(",") if line else []
+                first = 2
             header = [h.strip() for h in header]
             position: dict[str, int] = {}  # each name's first column
             repeated = set()
@@ -308,23 +322,18 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
             width = max(index, default=-1) + 1
             stride = len(header) + 1  # a line's cells and the "\n" cell that ends it
             columns: list[list[str]] = [[] for _ in names]
-            n = 0
-            for lines, rows in _blocks(fh):
+            starts: list[int] = []
+            for block_starts, lines, rows in _blocks(fh, first):
+                starts += block_starts
                 if lines is not None:
-                    if "" in lines:
-                        lines = [line for line in lines if line]
                     cells = ",\n,".join(lines).split(",")  # a "\n" cell after each line's cells
                     ends = cells[stride - 1 :: stride]
                     if len(cells) == len(lines) * stride - 1 and ends.count("\n") == len(lines) - 1:
                         # every line has the header's width: each column is one slice
-                        n += len(lines)
                         for i, column in zip(index, columns):
                             column.extend(cells[i::stride])
                         continue
                     rows = [line.split(",") for line in lines]
-                else:
-                    rows = [row for row in rows if row]
-                n += len(rows)
                 for row in rows:
                     if len(row) < width:
                         row.extend([""] * (width - len(row)))
@@ -339,32 +348,7 @@ def read_csv_columns(path: str, names: list[str], digest=None) -> tuple[list[lis
         ) from exc
     except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return columns, n
-
-
-def _where(path: str, record: int) -> str:
-    """"path:line", the line on which data row `record` (0-based) starts,
-    counting rows as read_csv_columns does (blank lines skipped, a quoted
-    cell may hold line breaks). The file is read again only to word an
-    error, so a load keeps no line table. Only a regular file is read again
-    (a FIFO or pipe is drained and reopening it could block); otherwise, or
-    if the second read fails, "path: data row n", n counted from 1."""
-    if os.path.isfile(path):
-        try:
-            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader, None)  # the header
-                start = reader.line_num + 1
-                rows_before = record
-                for row in reader:
-                    if row:
-                        if rows_before == 0:
-                            return f"{path}:{start}"
-                        rows_before -= 1
-                    start = reader.line_num + 1
-        except (OSError, UnicodeDecodeError, csv.Error):
-            pass
-    return f"{path}: data row {record + 1}"
+    return columns, starts
 
 
 def typed_value(value, levels: tuple[str, ...] | None = None) -> float | int:
@@ -416,18 +400,21 @@ def _level_indices(cells: list[str], levels: tuple[str, ...], distinct: set[str]
     return _by_distinct(cells, lambda c: at.get(c.strip(), -1), np.int64, distinct)
 
 
-def typed_response(path: str, time_cells: list[str], event_cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def typed_response(
+    path: str, starts: list[int], time_cells: list[str], event_cells: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
     """Times as typed_column floats and event flags as 1.0/0.0, NaN where the
     event cell is blank. An event cell outside {0, 1, true, false} (any case)
-    or a negative time is a DataError naming the line of `path` on which the
-    first such row starts (`_where`; the event first), whether or not the
-    row would be dropped: invalid values are data bugs, not missingness."""
+    or a negative time is a DataError naming "path:line", the line of `path`
+    on which the first such row starts (`starts`, as read_csv_columns gives
+    them; the event first), whether or not the row would be dropped: invalid
+    values are data bugs, not missingness."""
     time = typed_column(time_cells)
     event = _by_distinct(event_cells, lambda c: _EVENT_FLAGS.get(c.strip().lower(), -1.0), float)
     bad = np.flatnonzero((event < 0) | (time < 0))
     if bad.size:
         i = int(bad[0])
-        where = _where(path, i)
+        where = f"{path}:{starts[i]}"
         if event[i] < 0:
             raise DataError(f"{where}: event value {event_cells[i]!r} not in {{0, 1, true, false}}")
         raise DataError(f"{where}: negative time {time_cells[i]!r}")
@@ -475,8 +462,8 @@ def load_csv(path: str, schema: Schema, digest=None) -> tuple[Dataset, int]:
     passed to read_csv_columns.
     """
     names = [schema.time_column, schema.event_column] + [c.name for c in schema.covariates]
-    (time_cells, event_cells, *covariate_cells), n = read_csv_columns(path, names, digest)
-    time, event = typed_response(path, time_cells, event_cells)
+    (time_cells, event_cells, *covariate_cells), starts = read_csv_columns(path, names, digest)
+    time, event = typed_response(path, starts, time_cells, event_cells)
     keep = np.isfinite(time) & np.isfinite(event)
 
     typed = []
@@ -492,7 +479,7 @@ def load_csv(path: str, schema: Schema, digest=None) -> tuple[Dataset, int]:
         stored = NUMERIC if levels is None else CATEGORICAL
         covariates.append(Covariate(spec.name, stored, values[keep], levels, ordered=spec.kind == "ordinal"))
     response = SurvivalResponse(time[keep], event[keep] == 1.0)
-    return Dataset(tuple(covariates), response), n - int(keep.sum())
+    return Dataset(tuple(covariates), response), len(starts) - int(keep.sum())
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, typed_value, usable
 from .errors import DataError, FitError
-from .influence import encode_covariate, risk_table, table_scores, tie_blocks
+from .influence import encode_covariate, risk_table, table_scores
 from .km import KMCurve
 from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, dot_by_blocks, log_pvalue_asymptotic, test_statistic
 

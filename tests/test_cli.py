@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csv_oracle
 import survtree.cli
 import survtree.data
 from survtree import ColumnSpec, DataError, Schema, SimConfig, dataset_to_csv, load_csv, simulate_cohort
@@ -1021,6 +1023,91 @@ def test_edited_tree_file_exits_0_or_3(fuzz_base, data):
 @given(data=st.data())
 def test_broken_tree_file_exits_0_or_3(fuzz_base, data):
     check_tree_file(fuzz_base, _broken_file(data, fuzz_base[0]))
+
+
+@pytest.fixture(scope="module")
+def hostile_base(tmp_path_factory):
+    """An 80-row cohort's header and rows of cells, a tree fitted on it, and
+    a directory for the hostile copies."""
+    directory = tmp_path_factory.mktemp("hostile")
+    data = simulate(directory, "cohort.csv", "--n", "80")
+    tree = fit_tree(directory, data, "base.json", "--alpha", "0.5", "--minsplit", "2", "--minbucket", "1")
+    header, *rows = (line.split(",") for line in Path(data).read_text(encoding="utf-8").splitlines())
+    return header, rows, tree, directory
+
+
+# numbers float() reads but are not finite, underflow or are signed zero,
+# text float() reads (full-width digits) or not, and quoted cells: a number,
+# a comma, line breaks
+HOSTILE_CELLS = ["", "nan", "inf", "-inf", "1e308", "1e-320", "-0.0", "-1", "0x10", "\uff11\uff12", "\u00e9", "1e400",
+                 '"7"', '"-1"', '"a,b"', '"1\n2"', '"x\r\ny"']
+
+
+def _hostile_csv(data, header, rows):
+    """The cohort's text with 1-6 cells replaced by hostile ones, some lines
+    ended by CRLF and some blank lines put in among the data lines."""
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 6))):
+        row = data.draw(st.integers(0, len(rows) - 1))
+        column = header.index(data.draw(st.sampled_from(header + ["time", "event"])))  # the response twice as often
+        rows[row][column] = data.draw(st.sampled_from(HOSTILE_CELLS))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    crlf = data.draw(st.sets(st.integers(0, len(lines) - 1), max_size=6))
+    blank = data.draw(st.sets(st.integers(1, len(lines) - 1), max_size=4))
+    return "".join(("\n" if i in blank else "") + line + ("\r\n" if i in crlf else "\n") for i, line in enumerate(lines))
+
+
+def _check_tree_counts(tree_path):
+    """Every node's n and events are finite; an internal node's are its children's sums."""
+    nodes = {node["id"]: node for node in json.loads(Path(tree_path).read_text(encoding="utf-8"))["nodes"]}
+    for node in nodes.values():
+        assert math.isfinite(node["n"]) and math.isfinite(node["events"])
+        if node["kind"] == "internal":
+            for key in ("n", "events"):
+                assert node[key] == sum(nodes[child][key] for child in node["children"])
+
+
+def _run_quietly(*argv):
+    """The exit code and standard error of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_csv_exits_0_3_or_4_and_names_the_oracles_line(hostile_base, data):
+    # fit, predict, km and export-dot on a cohort with hostile cells: no
+    # traceback, no tree with a non-finite count, and a time or event error
+    # names the line csv.reader starts the row on
+    header, rows, base_tree, directory = hostile_base
+    path = directory / "hostile.csv"
+    path.write_text(_hostile_csv(data, header, rows), encoding="utf-8", newline="")
+    path = str(path)
+    try:
+        csv_oracle.load_csv(path, "time", "event", [(name, "auto", None) for name in COVARIATES.split(",")])
+        domain_error = None
+    except csv_oracle.OracleError as exc:
+        domain_error = str(exc) if "event value" in str(exc) or "negative time" in str(exc) else None
+    trees = [base_tree]
+    for test in ("asymptotic", "mc:19:1"):
+        tree = str(directory / f"{test.partition(':')[0]}.json")
+        code, err = _run_quietly("fit", "--data", path, "--time", "time", "--event", "event", "--covariates", COVARIATES,
+                                 "--alpha", "0.5", "--minsplit", "2", "--minbucket", "1", "--test", test, "--out", tree)
+        assert code in (0, 3, 4), err
+        if domain_error is not None:
+            assert (code, err) == (3, f"error: {domain_error}\n")
+        if code == 0:
+            _check_tree_counts(tree)
+            trees.append(tree)
+    for tree in trees:
+        for command in ("predict", "km", "export-dot"):
+            code, err = _run_quietly(command, "--tree", tree, *command_argv(command, path, str(directory / command)))
+            assert code in (0, 3), err
+            if command == "km" and domain_error is not None:
+                assert (code, err) == (3, f"error: {domain_error}\n")
 
 
 def test_unknown_subcommand_exits_2():

@@ -29,7 +29,7 @@ from survtree import (
     load_csv,
     simulate_cohort,
 )
-from survtree.data import _BLOCK, _where, read_csv_columns, typed_column, typed_value
+from survtree.data import _BLOCK, read_csv_columns, typed_column, typed_value
 from survtree.partition import CovariateInfo, FitConfig, Tree, TreeNode, fit, predict_node, route
 from survtree.treedoc import document_to_tree, tree_to_document
 
@@ -114,7 +114,7 @@ def test_covariate_named_as_a_response_column_is_not_written(name):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_domain_error_from_a_pipe_names_the_file():
-    # a pipe cannot be read again to find the line: the error names the row
+    # a pipe is read once, and the error names the line its row starts on, as for a file
     read_end, write_end = os.pipe()
     os.write(write_end, b"time,event\n5,1\n-1,yes\n")
     os.close(write_end)
@@ -124,7 +124,7 @@ def test_domain_error_from_a_pipe_names_the_file():
             load_csv(path, Schema("time", "event"))
     finally:
         os.close(read_end)
-    assert str(raised.value) == f"{path}: data row 2: event value 'yes' not in {{0, 1, true, false}}"
+    assert str(raised.value) == f"{path}:3: event value 'yes' not in {{0, 1, true, false}}"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -155,15 +155,7 @@ def test_domain_error_from_a_named_pipe_does_not_wait_for_a_writer(tmp_path):
     threads[0].join(timeout=10)
     threads[1].join(timeout=10)
     assert not hung
-    assert outcome == [f"{path}: data row 2: event value 'yes' not in {{0, 1, true, false}}"]
-
-
-def test_domain_error_line_falls_back_to_the_row_it_was_given(tmp_path):
-    # the file has fewer rows on the second read (it changed after loading)
-    path = tmp_path / "short.csv"
-    path.write_text("time,event\n1,1\n2,0\n", encoding="utf-8")
-    assert _where(str(path), 1) == f"{path}:3"
-    assert _where(str(path), 4) == f"{path}: data row 5"
+    assert outcome == [f"{path}:3: event value 'yes' not in {{0, 1, true, false}}"]
 
 
 def test_missing_file():
@@ -577,11 +569,11 @@ def test_route_matches_per_row_oracle(text, x_cut, g_subset, o_cut):
         path = os.path.join(directory, "data.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        header, rows, _ = csv_oracle.read_csv_table(path)
-        cells, n = read_csv_columns(path, names)
+        header, rows, lines = csv_oracle.read_csv_table(path)
+        cells, starts = read_csv_columns(path, names)
     columns = {name: typed_column(c, tree.info(name).levels) for name, c in zip(names, cells)}
-    node_of = route(tree, columns, n).tolist()
-    assert n == len(rows)
+    node_of = route(tree, columns, len(starts)).tolist()
+    assert starts == lines
     for row, node in zip(rows, node_of):
         try:
             leaf = csv_oracle.predict_row(tree, header, row)
@@ -732,9 +724,9 @@ def test_wide_header_is_checked_in_one_pass(tmp_path):
     header = [f"c{i}" for i in range(20_000)]
     path = write(tmp_path, ",".join(header) + "\n" + ",".join("1" * 20_000) + "\n")
     start = time.perf_counter()
-    cells, n = read_csv_columns(path, ["c19999", "c0", "c7"])
+    cells, starts = read_csv_columns(path, ["c19999", "c0", "c7"])
     assert time.perf_counter() - start < 1.0
-    assert (cells, n) == ([["1"], ["1"], ["1"]], 1)
+    assert (cells, starts) == ([["1"], ["1"], ["1"]], [2])
 
 
 @pytest.mark.parametrize(
@@ -763,7 +755,7 @@ def test_header_errors_and_positions_match_the_oracle(tmp_path, header, names):
 
 def csv_reader_columns(path, names):
     """What read_csv_columns returns, or the text of the DataError it raises,
-    with csv.reader reading the whole file."""
+    with csv.reader reading the whole file and counting its lines."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -777,10 +769,16 @@ def csv_reader_columns(path, names):
             for name in names:
                 if name not in header:
                     return f"{path}: column {name!r} not in header {header}"
-            rows = [row + [""] * len(header) for row in reader if row]
+            rows, starts = [], []
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    rows.append(row + [""] * len(header))
+                    starts.append(start)
+                start = reader.line_num + 1
     except csv.Error as exc:
         return f"cannot read {path}: {exc}"
-    return [[row[header.index(name)] for row in rows] for name in names], len(rows)
+    return [[row[header.index(name)] for row in rows] for name in names], starts
 
 
 def split_reader_columns(path, names, chunk):
