@@ -185,7 +185,8 @@ def _cmd_predict(args) -> int:
     if stuck:
         for i in stuck:
             name = tree.nodes[int(node_of[i])].split.covariate
-            print(f"row {i}: no usable value for split covariate {name!r}: {column[name][i]!r}", file=sys.stderr)
+            print(f"{args.data}:{starts[i]}: row {i}: no usable value for split covariate {name!r}: "
+                  f"{column[name][i]!r}", file=sys.stderr)
         raise DataError(f"{len(stuck)} of {n} rows could not be routed")
     median = {leaf.id: "" if leaf.km_median is None else repr(leaf.km_median) for leaf in tree.leaves()}
     lines = "".join(f"{i},{leaf},{median[leaf]}\n" for i, leaf in enumerate(node_of.tolist()))

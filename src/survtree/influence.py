@@ -38,15 +38,14 @@ def _checked(time, event, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return time, event, weights
 
 
-def tie_blocks(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For sorted values `xs`: where each run of equal values starts, and the
-    run each value belongs to (0, 1, ...)."""
-    starts = np.empty(xs.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
-    block = starts.cumsum()
-    block -= 1
-    return starts, block
+def run_bounds(xs: np.ndarray) -> np.ndarray:
+    """For sorted values `xs`: where each run of equal values starts, then
+    `xs.size`. Run k holds the values at positions bounds[k]:bounds[k+1]."""
+    n = xs.size
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:n])
+    return starts.nonzero()[0]
 
 
 def event_table(
@@ -77,15 +76,15 @@ def risk_table(
     default quicksort, so from that order every time is `np.unique`'s).
     """
     ts = time[order]
-    starts, block = tie_blocks(ts)
-    tie = np.empty_like(block)  # each row's tie (0, 1, ... in time order), in row order
-    tie[order] = block
+    bounds = run_bounds(ts)
+    tie = np.empty(ts.size, dtype=np.intp)  # each row's tie (0, 1, ... in time order), in row order
+    tie[order] = np.arange(bounds.size - 1).repeat(np.diff(bounds))
     d = np.bincount(tie, weights=np.where(event, weights, 0.0))
     w_at = np.bincount(tie, weights=weights)
     # R(s) = total weight minus weight at strictly earlier times
     r = weights.sum() - np.concatenate(([0.0], w_at.cumsum()[:-1]))
     has_event = d > 0
-    times = ts[starts]
+    times = ts[bounds[:-1]]
     if ts.size and ts[0] <= 0.0 <= ts[-1]:
         zero_signs = np.signbit(ts[ts == 0.0])
         if zero_signs.any() and not zero_signs.all():

@@ -34,9 +34,11 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Covariate, CovariateInfo, Dataset, SplitRule, typed_value, usable
 from .errors import DataError, FitError
-from .influence import encode_covariate, risk_table, table_scores
+from .influence import encode_covariate, risk_table, run_bounds, table_scores
 from .km import KMCurve
-from .permstat import VAR_TOL, SplitTest, TestMethod, adjust_pvalues, dot_by_blocks, log_pvalue_asymptotic, test_statistic
+from .permstat import (
+    SplitTest, TestMethod, adjust_pvalues, indicator_statistics, log_pvalue_asymptotic, node_moments, test_statistic,
+)
 
 MAX_CATEGORICAL_LEVELS = 10
 
@@ -141,14 +143,12 @@ def stable_argsort(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x)
     n = order.size
     xs = x[order]
-    tied = xs[1:] == xs[:-1]
+    bounds = run_bounds(xs)
     if n and xs[-1] != xs[-1]:  # NaN != NaN: the run of NaNs at the end is one run
-        tied[np.argmax(xs != xs):] = True
-    if not tied.any():
+        bounds = np.append(bounds[bounds <= np.argmax(xs != xs)], n)
+    if bounds.size > n:  # n runs of one value each
         return order
-    run = np.zeros(n, dtype=np.int64)  # each sorted value's run of equal values, times n
-    np.cumsum(~tied, out=run[1:])
-    run *= n
+    run = (np.arange(bounds.size - 1) * n).repeat(np.diff(bounds))  # each sorted value's run, times n
     key = run + order
     key.sort()  # a run keeps its place, its rows come in row order
     key -= run
@@ -163,13 +163,8 @@ def weighted_midranks(x: np.ndarray, w: np.ndarray, order: np.ndarray | None = N
     w = np.asarray(w, dtype=float)
     if order is None:
         order = stable_argsort(x)
-    n = x.size
-    xs = x[order]
-    run_start = np.empty(n + 1, dtype=bool)  # where each run of equal values starts, and the end
-    run_start[0] = run_start[n] = True
-    np.not_equal(xs[1:], xs[:-1], out=run_start[1:n])
-    bounds = run_start.nonzero()[0]
-    cum = np.zeros(n + 1)  # weight below each sorted position
+    bounds = run_bounds(x[order])
+    cum = np.zeros(x.size + 1)  # weight below each sorted position
     w[order].cumsum(out=cum[1:])
     w_below = cum[bounds[:-1]]
     w_at = cum[bounds[1:]] - w_below
@@ -178,27 +173,12 @@ def weighted_midranks(x: np.ndarray, w: np.ndarray, order: np.ndarray | None = N
     return out
 
 
-def _indicator_stats(
-    T: np.ndarray, w_left: np.ndarray, wsum: float, e_hat: float, v_hat: float
-) -> np.ndarray:
-    """Standardized two-sample statistics for a batch of candidate splits.
-
-    For an indicator design, sum w g = sum w g^2 = left-child weight, so the
-    permutation variance collapses to v_hat * W_l * (w. - W_l) / (w. - 1).
-    """
-    var = v_hat * w_left * (wsum - w_left) / (wsum - 1.0)
-    stat = np.zeros_like(T)
-    ok = var > VAR_TOL
-    stat[ok] = np.abs(T[ok] - e_hat * w_left[ok]) / np.sqrt(var[ok])
-    return stat
-
-
 def _cutoff_scan(x: np.ndarray, w: np.ndarray, scores: np.ndarray, order: np.ndarray):
     """Every candidate cut-off of x (each distinct value but the largest), with
     the weight and the weighted score sum of the rows at or below it, from
     `order`, a stable argsort of x."""
     xs, ws, sc = x[order], w[order], scores[order]
-    boundary = np.nonzero(np.diff(xs))[0]  # cut at xs[i] for xs[i] != xs[i+1]
+    boundary = run_bounds(xs)[1:-1] - 1  # the last value of each run but the last
     return xs[boundary], np.cumsum(ws)[boundary], np.cumsum(ws * sc)[boundary]
 
 
@@ -226,9 +206,7 @@ def best_split(
     scores = np.asarray(scores, dtype=float)
     if not np.all(w > 0):
         raise DataError("best_split needs positive case weights")
-    wsum = float(w.sum())
-    e_hat = float(dot_by_blocks(w, scores)) / wsum
-    v_hat = float(dot_by_blocks(w, (scores - e_hat) ** 2)) / wsum
+    wsum, e_hat, v_hat = node_moments(scores, w)
 
     numeric = cov.kind == NUMERIC or cov.ordered
     if numeric:
@@ -249,7 +227,7 @@ def best_split(
     feasible = (w_left >= cfg.minbucket) & (wsum - w_left >= cfg.minbucket)
     if not np.any(feasible):
         return None
-    stat = np.where(feasible, _indicator_stats(T, w_left, wsum, e_hat, v_hat), -np.inf)
+    stat = np.where(feasible, indicator_statistics(T, w_left, wsum, e_hat, v_hat), -np.inf)
     top = stat.max()
     best = int(np.flatnonzero(stat >= top - 1e-12 * max(1.0, abs(top)))[0])
     if numeric:

@@ -117,6 +117,31 @@ def dot_by_blocks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
+def node_moments(a: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """(w., E_hat, V_hat) of a node's scores a under its non-negative case
+    weights w, as the module docstring defines them, summed by dot_by_blocks.
+    A node of no weight has no moments: its E_hat and V_hat read 0.0."""
+    wsum = np.add.reduce(w)
+    if not wsum:
+        return wsum, 0.0, 0.0
+    e_hat = float(dot_by_blocks(w, a)) / wsum
+    centered = a - e_hat
+    return wsum, e_hat, float(dot_by_blocks(w, centered * centered)) / wsum
+
+
+def indicator_statistics(T: np.ndarray, w_left: np.ndarray, wsum: float, e_hat: float, v_hat: float) -> np.ndarray:
+    """c_max of each of a batch of 0/1 designs (candidate splits) from its
+    statistic T, its weight w_left = sum_i w_i g_i and the node's moments.
+    For an indicator design, sum w g = sum w g^2 = w_left, so the
+    permutation variance collapses to v_hat * w_left * (w. - w_left) / (w. - 1);
+    a design whose variance is at or below VAR_TOL gets 0.0."""
+    var = v_hat * w_left * (wsum - w_left) / (wsum - 1.0)
+    stat = np.zeros_like(T)
+    ok = var > VAR_TOL
+    stat[ok] = np.abs(T[ok] - e_hat * w_left[ok]) / np.sqrt(var[ok])
+    return stat
+
+
 def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) -> tuple:
     """(T, mu, var): the observed statistic and its conditional moments
     (var holds the variances sigma_kk) over the coordinates of every n x p
@@ -129,12 +154,9 @@ def _linear_statistics(designs: list[np.ndarray], a: np.ndarray, w: np.ndarray) 
         raise DataError("design, scores and weights disagree in length")
     if not np.isfinite(w).all() or (w < 0).any():
         raise DataError("case weights must be finite and non-negative")
-    wsum = np.add.reduce(w)
+    wsum, e_hat, v_hat = node_moments(a, w)
     if wsum < 2:
         raise DataError(f"total case weight {wsum} < 2: nothing to test")
-    e_hat = float(dot_by_blocks(w, a)) / wsum
-    centered = a - e_hat
-    v_hat = float(dot_by_blocks(w, centered * centered)) / wsum
     if not designs:
         return np.empty(0), np.empty(0), np.empty(0)
 

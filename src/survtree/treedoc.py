@@ -23,7 +23,6 @@ import contextlib
 import json
 import math
 import os
-import tempfile
 from collections import deque
 
 from . import __version__
@@ -77,11 +76,10 @@ def open_atomic(path: str):
     block ends without error, so that no failure leaves a partial output. The
     file gets the mode open() gives; any OSError on it is a DataError."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                os.umask(umask := os.umask(0))  # reads the umask
-                os.fchmod(fd, 0o666 & ~umask)
                 yield fh
             os.replace(tmp, path)
         except BaseException:

@@ -817,6 +817,29 @@ def test_unusable_cell_on_the_path_stops_predict_and_drops_in_km(tmp_path, capsy
     assert files == km_curves(tmp_path, capsys, tree_path, str(without), "without")[2]
 
 
+def test_predict_names_the_file_line_of_a_row_it_cannot_route(tmp_path, capsys):
+    data = simulate(tmp_path)
+    tree_path = fit_tree(tmp_path, data)
+    header, *rows = Path(data).read_text(encoding="utf-8").splitlines()
+    i, j = 5, header.split(",").index("meld")
+    cells = rows[i].split(",")
+    cells[j] = ""
+    rows[i] = ",".join(cells)
+    lines = [header, ""]  # a blank line after the header and after every odd row
+    for k, row in enumerate(rows):
+        lines += [row, ""] if k % 2 else [row]
+        if k == i:
+            line = len(lines) - (k % 2)  # the edited row's line, counted from 1
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    assert line != i + 2  # the row's line is not its index plus the header's
+    capsys.readouterr()
+    assert run("predict", "--tree", tree_path, "--data", str(edited), "--out", str(tmp_path / "out.csv")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"{edited}:{line}: row {i}: no usable value for split covariate 'meld': ''"
+    assert err[1:] == [f"error: 1 of {len(rows)} rows could not be routed"]
+
+
 @pytest.mark.parametrize("command", ["predict", "km"])
 def test_header_without_split_covariate_exits_3(tmp_path, capsys, planted, command):
     data, tree_path, _, _ = planted

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_censored
 from survtree import (
@@ -10,6 +12,7 @@ from survtree import (
     encode_covariate,
     logrank_scores,
 )
+from survtree.influence import run_bounds
 
 
 def test_worked_three_event_example():
@@ -97,3 +100,15 @@ def test_encode_categorical_three_levels():
 def test_encode_ordered_categorical_is_numeric_indices():
     cov = Covariate("g", CATEGORICAL, np.array([2, 0, 1]), levels=("lo", "mid", "hi"), ordered=True)
     np.testing.assert_array_equal(encode_covariate(cov), [[2.0], [0.0], [1.0]])
+
+
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 + 2**-52, 3.0]),
+                          st.floats(allow_nan=False, allow_infinity=False)), max_size=60))
+@example([])
+@example([1.0])
+@example([0.0, -0.0, -0.0, 0.0])
+def test_run_bounds_are_where_sorted_values_change(values):
+    xs = np.sort(np.array(values, dtype=float))
+    bounds = run_bounds(xs)
+    assert bounds[0] == 0 and bounds[-1] == xs.size
+    np.testing.assert_array_equal(bounds[1:-1], np.flatnonzero(np.diff(xs)) + 1)

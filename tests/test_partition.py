@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, observation
 from mc_oracle import montecarlo_test
@@ -24,7 +26,7 @@ from survtree import (
     simulate_cohort,
 )
 from survtree import permstat
-from survtree.partition import weighted_midranks
+from survtree.partition import _cutoff_scan, stable_argsort, weighted_midranks
 
 SMALL = FitConfig(alpha=0.05, minsplit=4, minbucket=2)
 
@@ -140,6 +142,45 @@ def test_best_split_categorical_enumerates_subsets(rng):
         if s > best_stat:
             best_stat, best_sub = s, sub
     assert set(rule.subset) == set(best_sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["numeric", "ordered", "categorical"]),
+    n_levels=st.integers(2, 5),
+    weights=st.one_of(
+        st.integers(2, 40).map(lambda n: [1] * n),
+        st.lists(st.integers(1, 3), min_size=2, max_size=40),
+    ),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_indicator_statistics_are_the_node_tests_c_max(kind, n_levels, weights, data_seed):
+    # best_split standardizes its candidates in closed form; each feasible
+    # candidate's statistic is the c_max test_statistic gives its 0/1 design
+    rng = np.random.Generator(np.random.Philox(key=data_seed))
+    n = len(weights)
+    w = np.array(weights, dtype=float)
+    scores = np.round(rng.normal(0.5, 1.0, n), 1)  # tied, and not centred: E_hat is not 0
+    if kind == "numeric":
+        x = np.round(rng.normal(size=n), 1)
+    else:
+        x = rng.integers(0, n_levels, n).astype(float)
+    if kind == "categorical":
+        codes = x.astype(np.int64)
+        subsets = [[0] + [k for k in range(1, n_levels) if mask & (1 << (k - 1))]
+                   for mask in range(2 ** (n_levels - 1) - 1)]
+        designs = [np.isin(codes, members).astype(float) for members in subsets]
+        w_left = np.array([w[g == 1].sum() for g in designs])
+        T = np.array([(w * scores)[g == 1].sum() for g in designs])
+    else:
+        cutoffs, w_left, T = _cutoff_scan(x, w, scores, stable_argsort(x))
+        designs = [(x <= c).astype(float) for c in cutoffs]
+    wsum, e_hat, v_hat = permstat.node_moments(scores, w)
+    stats = permstat.indicator_statistics(T, w_left, wsum, e_hat, v_hat)
+    feasible = (w_left >= 1) & (wsum - w_left >= 1)
+    for g, stat in zip(np.array(designs)[feasible], stats[feasible]):
+        c_max = permstat.test_statistic([g], scores, w)[0][0]
+        assert abs(stat - c_max) <= 1e-12 * max(1.0, c_max)
 
 
 def test_ordinal_covariate_splits_on_index():

@@ -62,6 +62,8 @@ def test_one_hot_collects_level_scores():
 def test_total_weight_below_two_rejected():
     with pytest.raises(DataError, match="< 2"):
         node_test(np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(DataError, match="total case weight 0.0 < 2"):  # no moments are taken
+        node_test(np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -112,15 +114,15 @@ def test_pvalue_asymptotic_examples():
     assert pvalue_asymptotic(1.959964, 2) == pytest.approx(1 - 0.95**2, abs=1e-4)
 
 
-def test_pvalue_exact_two_points_symmetric():
+def test_statistic_exact_p_of_two_mirrored_points_is_one():
     assert node_test(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.ones(2), EXACT)[1] == 1.0
 
 
-def test_pvalue_exact_constant_scores():
+def test_statistic_exact_p_of_constant_scores_is_one():
     assert node_test(np.array([1.0, 2.0, 3.0]), np.full(3, 4.0), np.ones(3), EXACT)[1] == 1.0
 
 
-def test_pvalue_exact_extreme_arrangement():
+def test_statistic_exact_p_counts_the_extreme_arrangements():
     # only the identity and the full reversal achieve the max |T - mu|
     g = np.array([1.0, 2.0, 3.0, 4.0])
     a = np.array([10.0, 20.0, 30.0, 40.0])
@@ -147,12 +149,12 @@ def test_pvalue_exact_one_hot_matches_brute_force(rng):
     assert p_lib == pytest.approx(p_brute, abs=1e-12)
 
 
-def test_pvalue_exact_size_cap():
+def test_statistic_exact_refuses_more_than_ten_observations():
     with pytest.raises(DataError, match="<= 10"):
         node_test(np.arange(11.0), np.arange(11.0), np.ones(11), EXACT)
 
 
-def test_pvalue_exact_non_integer_weights():
+def test_statistic_exact_refuses_non_integer_weights():
     with pytest.raises(DataError, match="integer"):
         node_test(np.arange(3.0), np.arange(3.0), np.array([1.0, 1.5, 1.0]), EXACT)
 

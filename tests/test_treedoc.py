@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from survtree.treedoc import (
     load_tree,
     tree_to_document,
     tree_to_dot,
+    write_atomic,
 )
 
 STAGES = ("i", "ii", "iii", "iv")
@@ -397,3 +399,21 @@ def test_unreadable_tree_file_is_data_error(tmp_path, content, message):
         path.write_bytes(content)
     with pytest.raises(DataError, match=message):
         load_tree(str(path))
+
+
+def test_write_atomic_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: reading it through os.umask would change it
+    # for every other thread for a moment
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "umask", umask)
+            write_atomic(str(tmp_path / "out.txt"), "text\n")
+    finally:
+        os.umask(old)
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "text\n"
+    assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == 0o640
